@@ -20,7 +20,6 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .kernels import BACKEND
 from .params import (
     Equilibrium,
     ModelParams,
@@ -48,7 +47,6 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CalibrationError",
     "ConfigError",
     "ConsistencyError",

@@ -112,7 +112,6 @@ class RunConfig:
 
 _INT_KEYS = {"n_points", "seed", "xi2_samples", "r_c_steps", "a_steps"}
 _STR_KEYS = {"ic"}
-_OPTIONAL_KEYS = {"f_e", "xi2_max"}
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"fe_calibrated"}
 
 
@@ -139,7 +138,7 @@ def parse_config(text: str) -> RunConfig:
                 parsed = float(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-        if key not in _STR_KEYS and key not in _OPTIONAL_KEYS and not math.isfinite(parsed):
+        if key not in _STR_KEYS and not math.isfinite(parsed):
             raise ConfigError(f"line {lineno}: {key} must be finite")
         setattr(cfg, key, parsed)
     try:

@@ -1,9 +1,7 @@
-"""Time-stepping kernels: numba-jitted hot path with a pure numpy/scipy fallback.
+"""Time-stepping kernel: one semi-implicit update in numpy/scipy.
 
-The backend is chosen at import time. Setting ``GUTPATTERNS_NO_NUMBA=1`` (or
-any value other than ``0``) forces the fallback; otherwise numba is used when
-importable. Both backends implement the same semi-implicit update on
-carrying-capacity-scaled fields b = beta/b_i, g = gamma/b_i:
+The update acts on carrying-capacity-scaled fields b = beta/b_i,
+g = gamma/b_i:
 
     (I - dt*mu*L) u_new = u + dt * reaction(u)
 
@@ -13,13 +11,12 @@ with L the second-difference operator closed by ghost-node reflection
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.linalg import solve_banded
 
 
-def _step_numpy(b, g, dt, mu_b, mu_c, r_b, a, s, f_e, f_b, r_c):
+def step_arrays(b, g, dt, mu_b, mu_c, r_b, a, s, f_e, f_b, r_c):
+    """One step of both fields; ``mu_b``/``mu_c`` already include ``dt``."""
     logistic = 1.0 - b
     rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
     rhs_g = g + dt * (f_b * b - r_c * g)
@@ -37,55 +34,3 @@ def _banded_solve(rhs, mu):
     ab[2, :-1] = -mu
     ab[2, n - 2] = -2.0 * mu
     return solve_banded((1, 1), ab, rhs)
-
-
-_want_numba = os.environ.get("GUTPATTERNS_NO_NUMBA", "0") == "0"
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-if _want_numba:
-
-    @njit(cache=True)
-    def _thomas_neumann(rhs, mu):
-        # Tridiagonal solve for (I - mu*L) x = rhs; first/last off-diagonals
-        # carry the ghost-node factor 2. Strictly diagonally dominant.
-        n = rhs.shape[0]
-        x = np.empty(n)
-        cp = np.empty(n - 1)
-        diag = 1.0 + 2.0 * mu
-        piv = diag
-        cp[0] = -2.0 * mu / piv
-        x[0] = rhs[0] / piv
-        for i in range(1, n - 1):
-            piv = diag + mu * cp[i - 1]
-            cp[i] = -mu / piv
-            x[i] = (rhs[i] + mu * x[i - 1]) / piv
-        piv = diag + 2.0 * mu * cp[n - 2]
-        x[n - 1] = (rhs[n - 1] + 2.0 * mu * x[n - 2]) / piv
-        for i in range(n - 2, -1, -1):
-            x[i] -= cp[i] * x[i + 1]
-        return x
-
-    @njit(cache=True)
-    def _step_numba(b, g, dt, mu_b, mu_c, r_b, a, s, f_e, f_b, r_c):
-        n = b.shape[0]
-        rhs_b = np.empty(n)
-        rhs_g = np.empty(n)
-        for i in range(n):
-            bi = b[i]
-            gi = g[i]
-            logistic = 1.0 - bi
-            rhs_b[i] = bi + dt * (r_b * logistic * bi - a * bi * gi / (s + bi) + f_e * logistic * gi)
-            rhs_g[i] = gi + dt * (f_b * bi - r_c * gi)
-        return _thomas_neumann(rhs_b, mu_b), _thomas_neumann(rhs_g, mu_c)
-
-    step_arrays = _step_numba
-    BACKEND = "numba"
-else:
-    _step_numba = None
-    step_arrays = _step_numpy
-    BACKEND = "numpy"

@@ -76,13 +76,21 @@ class SimConfig:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if self.t_end < self.dt:
             raise ParameterError(f"t_end must be >= dt, got {self.t_end!r}")
-        stride = self.snapshot_every / self.dt
-        if self.snapshot_every <= 0.0 or abs(stride - round(stride)) > 1e-9:
+        if not _is_multiple(self.t_end, self.dt):
+            raise ParameterError(f"t_end must be a multiple of dt, got {self.t_end!r}")
+        if self.snapshot_every <= 0.0 or not _is_multiple(self.snapshot_every, self.dt):
             raise ParameterError("snapshot_every must be a positive multiple of dt")
         if self.ic not in ("spot", "perturbation"):
             raise ParameterError(f"unknown initial condition {self.ic!r}")
         if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:
             raise ParameterError("initial-condition amplitudes must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+
+
+def _is_multiple(span: float, dt: float) -> bool:
+    ratio = span / dt
+    return abs(ratio - round(ratio)) <= 1e-9
 
 
 def max_stable_dt(p: ModelParams) -> float:
@@ -146,14 +154,17 @@ def _step_scaled(p: ModelParams, dom: Domain1D, b, g, dt, t_next):
     return b_new, g_new
 
 
-def step(p: ModelParams, dom: Domain1D, s: FieldState, dt: float) -> FieldState:
-    """Advance one time step and return the new state."""
+def _check_dt(p: ModelParams, dt: float) -> None:
     if dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    if dt > max_stable_dt(p):
-        raise ParameterError(
-            f"dt={dt} exceeds the explicit-reaction bound {max_stable_dt(p):.4g} min"
-        )
+    bound = max_stable_dt(p)
+    if dt > bound:
+        raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
+
+
+def step(p: ModelParams, dom: Domain1D, s: FieldState, dt: float) -> FieldState:
+    """Advance one time step and return the new state."""
+    _check_dt(p, dt)
     b = s.beta / p.b_i
     g = s.gamma / p.b_i
     b, g = _step_scaled(p, dom, b, g, dt, s.time + dt)
@@ -166,10 +177,7 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
     The final state is always included. Step failures propagate with the
     offending time attached.
     """
-    if cfg.dt > max_stable_dt(p):
-        raise ParameterError(
-            f"dt={cfg.dt} exceeds the explicit-reaction bound {max_stable_dt(p):.4g} min"
-        )
+    _check_dt(p, cfg.dt)
     state0 = initial_state(p, dom, cfg)
     b = state0.beta / p.b_i
     g = state0.gamma / p.b_i

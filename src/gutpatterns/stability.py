@@ -173,8 +173,8 @@ def dispersion(
         raise ParameterError(f"samples must be >= 2, got {samples}")
     lam_minus, lam_plus, nonempty = band_edges(p, j)
     if xi2_max is not None:
-        if xi2_max <= 0.0:
-            raise ParameterError(f"xi2_max must be positive, got {xi2_max!r}")
+        if not (math.isfinite(xi2_max) and xi2_max > 0.0):
+            raise ParameterError(f"xi2_max must be positive and finite, got {xi2_max!r}")
         xi2 = np.linspace(0.0, xi2_max, samples)
     elif nonempty:
         lo = max(lam_minus, 0.0)

@@ -16,13 +16,7 @@ def p_table1():
 
 
 @pytest.fixture(scope="session")
-def warm_kernel(p_table1):
-    # compile/warm the stepping kernel so run timings measure stepping only
-    simulate(p_table1, Domain1D(0.001, 16), SimConfig(t_end=2.0, dt=1.0, snapshot_every=2.0))
-
-
-@pytest.fixture(scope="session")
-def fig2_run(p_table1, warm_kernel):
+def fig2_run(p_table1):
     """Two-week pattern run: (snapshots, wall seconds)."""
     start = time.perf_counter()
     snaps = simulate(p_table1, FIG2_DOMAIN, FIG2_CFG)
@@ -30,7 +24,7 @@ def fig2_run(p_table1, warm_kernel):
 
 
 @pytest.fixture(scope="session")
-def control_run(p_table1, warm_kernel):
+def control_run(p_table1):
     """Equal-diffusivity control of the two-week run."""
     p = replace(p_table1, d_b=p_table1.d_c)
     start = time.perf_counter()
@@ -39,7 +33,7 @@ def control_run(p_table1, warm_kernel):
 
 
 @pytest.fixture(scope="session")
-def perturbation_run(p_table1, warm_kernel):
+def perturbation_run(p_table1):
     cfg = SimConfig(t_end=4320.0, dt=1.0, snapshot_every=60.0,
                     ic="perturbation", noise_rel=1e-3, seed=11)
     return simulate(p_table1, FIG2_DOMAIN, cfg)

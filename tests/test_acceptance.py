@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The heavy simulations are shared session fixtures; their wall-clock
-times are measured after a warm-up run so kernel compilation is not billed
-to the criteria.
+lines. The heavy simulations are shared session fixtures that also record
+their wall-clock times.
 """
 
 import math

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gutpatterns.cli import RunConfig, main, parse_config
+from gutpatterns.cli import SUBCOMMANDS, RunConfig, main, parse_config
 from gutpatterns.errors import ConfigError
 
 SMALL_SIM = """\
@@ -107,6 +113,14 @@ class TestSubcommands:
         assert main(["steady", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_SIM + "ic = perturbation\n")
+        args = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+
 
 def read_outputs(out_dir: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
@@ -149,3 +163,52 @@ def test_runconfig_defaults_match_canonical_set():
     assert (cfg.r_c, cfg.a, cfg.s_b) == (0.02, 0.3129, 1e15)
     assert cfg.length == 0.03 and cfg.n_points == 3000
     assert cfg.t_end == 20160.0 and cfg.dt == 1.0
+
+
+PROPERTY_BASE = """\
+n_points = 64
+length = 0.001
+spot_center = 0.0005
+t_end = 4
+snapshot_every = 2
+ic = perturbation
+r_c_steps = 4
+a_steps = 4
+"""
+PROPERTY_KEYS = ("seed", "xi2_max", "xi2_samples", "t_end", "dt", "snapshot_every",
+                 "noise_rel", "spot_amplitude", "background", "theta_target", "peak_threshold")
+# Valid but unbounded values (t_end = 1e308, dt = 1e-300) are left out: they
+# would run ~1e308 steps.
+PROPERTY_VALUES = ("-1", "0", "2.5", "3", "inf", "-inf", "nan")
+
+
+def _assert_finite_outputs(out_dir: Path, subcommand: str, t_end: float) -> None:
+    for csv in out_dir.glob("*.csv"):
+        for row in csv.read_text().splitlines()[1:]:
+            if not row.startswith("#"):
+                assert all(math.isfinite(float(v)) for v in row.split(",")), (csv.name, row)
+    if subcommand == "simulate":
+        # null is the JSON form of the nan low-variance sentinel
+        report = json.loads((out_dir / "report.json").read_text())
+        assert all(math.isfinite(v) for v in report.values() if v is not None), report
+        assert (out_dir / f"snap_t{t_end:g}.csv").exists()
+
+
+# The space is 11 x 7 x 5 = 385 cases; Hypothesis stops once it has tried them all.
+@settings(max_examples=500, deadline=None, database=None)
+@given(key=st.sampled_from(PROPERTY_KEYS), value=st.sampled_from(PROPERTY_VALUES),
+       subcommand=st.sampled_from(SUBCOMMANDS))
+def test_config_runs_clean_or_fails_with_one_error_line(key, value, subcommand):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg"
+        cfg.write_text(PROPERTY_BASE + f"{key} = {value}\n")
+        out_dir = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(cfg), "--out", str(out_dir)])
+        if code == 0:
+            _assert_finite_outputs(out_dir, subcommand, float(value) if key == "t_end" else 4.0)
+        else:
+            assert code in (1, 2)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -20,25 +20,3 @@ def test_banded_solve_matches_dense(n, mu, rng):
     x = kernels._banded_solve(rhs, mu)
     expected = np.linalg.solve(dense_system(n, mu), rhs)
     np.testing.assert_allclose(x, expected, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(kernels._step_numba is None, reason="numba backend disabled")
-def test_backends_agree_single_step(rng):
-    n = 512
-    b = rng.uniform(0.0, 0.9, n)
-    g = rng.uniform(0.0, 0.05, n)
-    args = (1.0, 0.5, 3.0, 0.0347, 0.3129, 0.01, 0.0856, 0.002, 0.02)
-    b1, g1 = kernels._step_numba(b.copy(), g.copy(), *args)
-    b2, g2 = kernels._step_numpy(b.copy(), g.copy(), *args)
-    np.testing.assert_allclose(b1, b2, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.skipif(kernels._step_numba is None, reason="numba backend disabled")
-def test_thomas_matches_dense(rng):
-    n = 64
-    mu = 2.0
-    rhs = rng.standard_normal(n)
-    x = kernels._thomas_neumann(rhs, mu)
-    expected = np.linalg.solve(dense_system(n, mu), rhs)
-    np.testing.assert_allclose(x, expected, rtol=1e-10, atol=1e-12)

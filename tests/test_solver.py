@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,15 @@ class TestSimConfig:
 
     def test_snapshot_not_multiple(self):
         with pytest.raises(ParameterError):
-            SimConfig(t_end=10.0, dt=3.0, snapshot_every=10.0)
+            SimConfig(t_end=9.0, dt=3.0, snapshot_every=10.0)
+
+    def test_t_end_not_multiple(self):
+        with pytest.raises(ParameterError, match="t_end"):
+            SimConfig(t_end=2.5, dt=1.0, snapshot_every=1.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", seed=-1)
 
     def test_unknown_ic(self):
         with pytest.raises(ParameterError):
@@ -141,6 +150,19 @@ class TestSimulate:
         spacing_c = float(np.mean(np.diff(pos_c)))
         spacing_f = float(np.mean(np.diff(pos_f)))
         assert abs(spacing_f - spacing_c) / spacing_c < 0.05
+
+    def test_temporal_order_is_one(self, p_table1):
+        # IMEX Euler is first order: halving dt halves the change in the
+        # final beta, so successive differences shrink by 2**1
+        dom = Domain1D(length=0.004, n_points=400)
+        finals = [
+            simulate(p_table1, dom, SimConfig(t_end=360.0, dt=dt, snapshot_every=360.0,
+                                              ic="perturbation", seed=3))[-1].beta
+            for dt in (1.0, 0.5, 0.25, 0.125)
+        ]
+        diffs = [np.linalg.norm(c - f) / np.linalg.norm(f) for c, f in zip(finals, finals[1:])]
+        orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
+        assert all(0.8 <= q <= 1.2 for q in orders), orders
 
     def test_diffusivity_rescaling_is_spatial_rescaling(self, p_table1, domain):
         # scaling d_b, d_c by 4 and the length by 2 must reproduce the run

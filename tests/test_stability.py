@@ -7,6 +7,7 @@ import pytest
 from gutpatterns import (
     ConsistencyError,
     Jacobian2x2,
+    ParameterError,
     band_edges,
     dispersion,
     growth_rate,
@@ -182,3 +183,8 @@ class TestDispersion:
         assert curve.xi2_samples[0] == 0.0
         assert curve.xi2_samples[-1] == 1e12
         assert len(curve.xi2_samples) == 64
+
+    @pytest.mark.parametrize("xi2_max", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_xi2_max_rejected(self, p_table1, jac_table1, xi2_max):
+        with pytest.raises(ParameterError, match="xi2_max"):
+            dispersion(p_table1, jac_table1, xi2_max=xi2_max)
