@@ -3,8 +3,10 @@
 Subcommands: steady, stability, dispersion, simulate, scan. Configuration is
 a flat ``key = value`` file with ``#`` comments; omitted keys fall back to
 the canonical defaults, and an omitted f_e is calibrated at theta_target.
-Every run writes a ``manifest`` echoing the fully resolved configuration;
-feeding the manifest back as the config reproduces the run byte for byte.
+Every run that passes validation writes a ``manifest`` echoing the fully
+resolved configuration; feeding the manifest back as the config reproduces
+the run byte for byte. A ``simulate`` run rejected at validation writes
+nothing.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_pattern, snapshot_stats
+from .analysis import analyze_pattern, check_threshold, snapshot_stats
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, scan_region
-from .solver import Domain1D, FieldState, SimConfig, simulate
+from .solver import Domain1D, FieldState, SimConfig, check_run, simulate
 from .stability import dispersion, jacobian, turing_classify, unstable_band
 
 SUBCOMMANDS = ("steady", "stability", "dispersion", "simulate", "scan")
@@ -205,8 +207,14 @@ def _json_safe(value):
 
 def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
     """Execute one subcommand; returns the process exit status."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
+    if subcommand == "simulate":
+        # Checked before anything is written, so a rejected run leaves no
+        # files; a run that fails while stepping keeps its manifest.
+        dom, sim = cfg.domain(), cfg.sim_config()
+        check_run(p, dom, sim)
+        check_threshold(cfg.peak_threshold)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out_dir)
 
     if subcommand == "steady":
@@ -244,12 +252,11 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
         return 0
 
     if subcommand == "simulate":
-        dom = cfg.domain()
         eq = steady_state(p)
         j = jacobian(p, eq)
         curve = dispersion(p, j)
         band = unstable_band(curve)
-        snapshots = simulate(p, dom, cfg.sim_config())
+        snapshots = simulate(p, dom, sim)
         series_rows = []
         for state in snapshots:
             write_snapshot(state, dom, out_dir)

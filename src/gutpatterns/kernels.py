@@ -6,31 +6,45 @@ g = gamma/b_i:
     (I - dt*mu*L) u_new = u + dt * reaction(u)
 
 with L the second-difference operator closed by ghost-node reflection
-(homogeneous Neumann) and mu = d/dx^2.
+(homogeneous Neumann) and mu = d/dx^2. The matrix depends only on dt, dx
+and d, so it is LU-factored once with LAPACK ``dgttrf`` and each step
+only back-substitutes with ``dgttrs`` (Anderson et al., *LAPACK Users'
+Guide*, 1999).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+from .errors import InvariantError
 
 
-def step_arrays(b, g, dt, mu_b, mu_c, r_b, a, s, f_e, f_b, r_c):
-    """One step of both fields; ``mu_b``/``mu_c`` already include ``dt``."""
+def factor(n: int, mu: float) -> tuple:
+    """LU factors of the n-node reflecting-end matrix ``I - mu*L``.
+
+    ``mu`` already includes ``dt``. Returns ``(dl, d, du, du2, ipiv)`` as
+    ``dgttrs`` takes them.
+    """
+    dl = np.full(n - 1, -mu)
+    du = np.full(n - 1, -mu)
+    du[0] = -2.0 * mu
+    dl[-1] = -2.0 * mu
+    d = np.full(n, 1.0 + 2.0 * mu)
+    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise InvariantError(f"diffusion matrix is singular (LAPACK dgttrf info={info}, mu={mu!r})")
+    return tuple(lu)
+
+
+def step_arrays(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c):
+    """One step of both fields; ``lu_b``/``lu_c`` come from :func:`factor`."""
     logistic = 1.0 - b
     rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
     rhs_g = g + dt * (f_b * b - r_c * g)
-    return _banded_solve(rhs_b, mu_b), _banded_solve(rhs_g, mu_c)
+    return _solve(lu_b, rhs_b), _solve(lu_c, rhs_g)
 
 
-def _banded_solve(rhs, mu):
-    n = rhs.shape[0]
-    if mu == 0.0:
-        return rhs
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -mu
-    ab[0, 1] = -2.0 * mu
-    ab[1, :] = 1.0 + 2.0 * mu
-    ab[2, :-1] = -mu
-    ab[2, n - 2] = -2.0 * mu
-    return solve_banded((1, 1), ab, rhs)
+def _solve(lu, rhs):
+    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
+    return x

@@ -84,6 +84,11 @@ class SimConfig:
             raise ParameterError(f"unknown initial condition {self.ic!r}")
         if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:
             raise ParameterError("initial-condition amplitudes must be non-negative")
+        if self.ic == "perturbation" and self.noise_rel > 1.0:
+            raise ParameterError(
+                f"noise_rel must be <= 1 for a perturbation (larger draws negative densities), "
+                f"got {self.noise_rel!r}"
+            )
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
@@ -145,13 +150,28 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
         np.minimum(b, np.nextafter(1.0, 0.0), out=b)
 
 
-def _step_scaled(p: ModelParams, dom: Domain1D, b, g, dt, t_next):
-    s = p.s_b / p.b_i
-    mu_b = dt * p.d_b / dom.dx**2
-    mu_c = dt * p.d_c / dom.dx**2
-    b_new, g_new = kernels.step_arrays(b, g, dt, mu_b, mu_c, p.r_b, p.a, s, p.f_e, p.f_b, p.r_c)
-    _check_and_clamp(b_new, g_new, t_next)
-    return b_new, g_new
+class _Integrator:
+    """Steps scaled fields for one (p, dom, dt).
+
+    Holds what stays fixed over a run: ``s = s_b/b_i`` and the LU factors of
+    both diffusion matrices.
+    """
+
+    def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
+        _check_dt(p, dt)
+        self.p = p
+        self.dt = dt
+        self.s = p.s_b / p.b_i
+        self.lu_b = kernels.factor(dom.n_points, dt * p.d_b / dom.dx**2)
+        self.lu_c = kernels.factor(dom.n_points, dt * p.d_c / dom.dx**2)
+
+    def advance(self, b, g, t_next):
+        """Return the scaled fields one step on, checked and clamped at ``t_next``."""
+        p = self.p
+        b_new, g_new = kernels.step_arrays(b, g, self.dt, self.lu_b, self.lu_c,
+                                           p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c)
+        _check_and_clamp(b_new, g_new, t_next)
+        return b_new, g_new
 
 
 def _check_dt(p: ModelParams, dt: float) -> None:
@@ -164,11 +184,16 @@ def _check_dt(p: ModelParams, dt: float) -> None:
 
 def step(p: ModelParams, dom: Domain1D, s: FieldState, dt: float) -> FieldState:
     """Advance one time step and return the new state."""
-    _check_dt(p, dt)
     b = s.beta / p.b_i
     g = s.gamma / p.b_i
-    b, g = _step_scaled(p, dom, b, g, dt, s.time + dt)
+    b, g = _Integrator(p, dom, dt).advance(b, g, s.time + dt)
     return FieldState(time=s.time + dt, beta=b * p.b_i, gamma=g * p.b_i)
+
+
+def check_run(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> None:
+    """Raise ParameterError if :func:`simulate` would reject these inputs."""
+    _check_dt(p, cfg.dt)
+    initial_state(p, dom, cfg)
 
 
 def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
@@ -177,7 +202,7 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
     The final state is always included. Step failures propagate with the
     offending time attached.
     """
-    _check_dt(p, cfg.dt)
+    integrator = _Integrator(p, dom, cfg.dt)
     state0 = initial_state(p, dom, cfg)
     b = state0.beta / p.b_i
     g = state0.gamma / p.b_i
@@ -186,7 +211,7 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
     snapshots = [state0]
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
-        b, g = _step_scaled(p, dom, b, g, cfg.dt, t)
+        b, g = integrator.advance(b, g, t)
         if k % stride == 0 or k == n_steps:
             snapshots.append(FieldState(time=t, beta=b * p.b_i, gamma=g * p.b_i))
     return snapshots

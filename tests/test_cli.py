@@ -120,6 +120,26 @@ class TestSubcommands:
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert not (tmp_path / "out" / "manifest").exists()
+
+    def test_negative_perturbation_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 10\n"
+                       "ic = perturbation\nnoise_rel = 1.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "noise_rel" in err[0]
+        assert not (tmp_path / "out" / "manifest").exists()
+
+    def test_failed_step_keeps_manifest(self, tmp_path, capsys):
+        # a small s_b makes the explicit killing term overshoot at t=1
+        cfg = tmp_path / "cfg"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 10\n"
+                       "ic = perturbation\nnoise_rel = 1\ns_b = 1e13\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "negativity" in err[0]
+        assert (tmp_path / "out" / "manifest").exists()
 
 
 def read_outputs(out_dir: Path) -> dict[str, bytes]:

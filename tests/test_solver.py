@@ -46,6 +46,11 @@ class TestSimConfig:
         with pytest.raises(ParameterError, match="seed"):
             SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", seed=-1)
 
+    def test_perturbation_noise_above_one_rejected(self):
+        with pytest.raises(ParameterError, match="noise_rel"):
+            SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", noise_rel=1.5)
+        SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", noise_rel=1.0)
+
     def test_unknown_ic(self):
         with pytest.raises(ParameterError):
             SimConfig(t_end=10.0, snapshot_every=10.0, dt=1.0, ic="gaussian")
@@ -96,6 +101,13 @@ class TestStep:
         with pytest.raises(InvariantError, match="negativity"):
             step(p, domain, s, 1.0)
 
+    def test_non_finite_input_raises_invariant_error(self, p_table1, domain):
+        beta = np.zeros(domain.n_points)
+        beta[7] = np.nan
+        s = FieldState(0.0, beta, np.zeros(domain.n_points))
+        with pytest.raises(InvariantError, match="non-finite"):
+            step(p_table1, domain, s, 1.0)
+
 
 class TestSimulate:
     def test_snapshot_cadence_and_final(self, p_table1, domain):
@@ -111,6 +123,30 @@ class TestSimulate:
             assert np.all(s.gamma >= 0.0)
             assert np.all(s.beta < p_table1.b_i)
             assert np.all(np.isfinite(s.gamma))
+
+    @pytest.mark.parametrize("b_i,rtol", [(2.0**56, 0.0), (None, 1e-13)])
+    @pytest.mark.parametrize("ic", ["spot", "perturbation"])
+    def test_simulate_matches_repeated_step(self, p_table1, ic, b_i, rtol):
+        # step() converts to scaled fields and back on every call. With a
+        # power-of-two b_i that round trip is exact, so both paths must agree
+        # bitwise; at the Table 1 b_i = 1e17 it costs a few ulp per step.
+        p = p_table1 if b_i is None else replace(p_table1, b_i=b_i)
+        dom = Domain1D(length=0.004, n_points=400)
+        cfg = SimConfig(t_end=50.0, dt=1.0, snapshot_every=10.0, ic=ic,
+                        spot_center=0.002, noise_rel=0.01, seed=3)
+        snaps = simulate(p, dom, cfg)
+        s = initial_state(p, dom, cfg)
+        stepped = [s]
+        for k in range(1, 51):
+            s = step(p, dom, s, cfg.dt)
+            if k % 10 == 0:
+                stepped.append(s)
+        assert len(snaps) == len(stepped) == 6
+        assert not np.array_equal(snaps[-1].beta, snaps[0].beta)
+        for a, b in zip(snaps, stepped):
+            assert a.time == b.time
+            np.testing.assert_allclose(a.beta, b.beta, rtol=rtol, atol=0.0)
+            np.testing.assert_allclose(a.gamma, b.gamma, rtol=rtol, atol=0.0)
 
     def test_perturbation_ic_deterministic(self, p_table1, domain):
         cfg = SimConfig(t_end=10.0, dt=1.0, snapshot_every=10.0, ic="perturbation", seed=42)
