@@ -59,21 +59,18 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = 0.1):
     if peak_max <= 0.0:
         return 0, []
     threshold = rel_threshold * peak_max
-    positions: list[float] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and b[j + 1] == b[i]:
-            j += 1
-        # run of equal values on [i, j]
-        left_lower = i > 0 and b[i - 1] < b[i]
-        right_lower = j < n - 1 and b[j + 1] < b[i]
-        left_ok = left_lower or i == 0
-        right_ok = right_lower or j == n - 1
-        interior_run = i > 0 or j < n - 1  # a run covering the whole grid is constant
-        if b[i] > threshold and left_ok and right_ok and interior_run and (left_lower or right_lower):
-            positions.append(0.5 * (x[i] + x[j]))
-        i = j + 1
+    # Runs of equal values: starts[k]..ends[k] is run k, heights[k] its value.
+    change = np.flatnonzero(b[1:] != b[:-1])
+    if change.size == 0:
+        return 0, []  # a run covering the whole grid is constant
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [n - 1]))
+    heights = b[starts]
+    # A run is a peak when both neighbouring runs are lower; a boundary run
+    # has only one neighbour, so the -inf padding stands in for the other.
+    padded = np.concatenate(([-np.inf], heights, [-np.inf]))
+    peak = (heights > threshold) & (padded[:-2] < heights) & (padded[2:] < heights)
+    positions = (0.5 * (x[starts[peak]] + x[ends[peak]])).tolist()
     return len(positions), positions
 
 

@@ -5,7 +5,7 @@ a flat ``key = value`` file with ``#`` comments; omitted keys fall back to
 the canonical defaults, and an omitted f_e is calibrated at theta_target.
 Every run that passes validation writes a ``manifest`` echoing the fully
 resolved configuration; feeding the manifest back as the config reproduces
-the run byte for byte. A ``simulate`` run rejected at validation writes
+the run byte for byte. A run rejected at validation (exit 1) writes
 nothing.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
 )
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
-from .scan import ScanGrid, scan_region
+from .scan import ScanGrid, Verdict, scan_region
 from .solver import Domain1D, FieldState, SimConfig, check_run, simulate
 from .stability import dispersion, jacobian, turing_classify, unstable_band
 
@@ -172,11 +172,12 @@ def write_manifest(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_columns(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write equal-length float columns as CSV rows, each value as its repr."""
+    text = [map(repr, column.tolist()) for column in columns]
+    with path.open("w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _snapshot_name(t: float) -> str:
@@ -187,16 +188,26 @@ def _snapshot_name(t: float) -> str:
 
 
 def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
-    x = dom.x()
-    rows = zip((float(v) for v in x), (float(v) for v in state.beta), (float(v) for v in state.gamma))
-    _write_csv(out_dir / _snapshot_name(state.time), "x,beta,gamma", rows)
+    _write_columns(out_dir / _snapshot_name(state.time), "x,beta,gamma",
+                   dom.x(), state.beta, state.gamma)
+
+
+# "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
+# tokens with a NUL, which write_scan_csv strips.
+_VERDICT_OFFSET = -min(Verdict)
+_VERDICT_TOKENS = np.array(
+    [f"{int(Verdict(code))},".encode() for code in range(min(Verdict), max(Verdict) + 1)],
+    dtype="S3",
+)
 
 
 def write_scan_csv(grid: ScanGrid, path: Path) -> None:
-    lines = ["," + ",".join(_fmt(float(a)) for a in grid.a_axis)]
-    for i, r_c in enumerate(grid.r_c_axis):
-        lines.append(_fmt(float(r_c)) + "," + ",".join(str(int(v)) for v in grid.verdicts[i]))
-    path.write_text("\n".join(lines) + "\n")
+    """Header of a values, then one row per r_c: the r_c value and its codes."""
+    with path.open("wb") as f:
+        f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
+        for r_c, codes in zip(grid.r_c_axis.tolist(), grid.verdicts):
+            cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().replace(b"\0", b"")
+            f.write(f"{r_c!r},".encode() + cells[:-1] + b"\n")
 
 
 def _json_safe(value):
@@ -208,9 +219,23 @@ def _json_safe(value):
 def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
     """Execute one subcommand; returns the process exit status."""
     p = cfg.params()
+    # Everything that can reject the config runs before anything is written,
+    # so a run that exits 1 leaves no files; a simulate run that fails while
+    # stepping keeps its manifest.
+    if subcommand == "scan":
+        grid = scan_region(
+            p,
+            (cfg.r_c_min, cfg.r_c_max),
+            (cfg.a_min, cfg.a_max),
+            (cfg.r_c_steps, cfg.a_steps),
+            theta=cfg.theta_target,
+        )
+    else:
+        eq = steady_state(p)
+        j = jacobian(p, eq)
+    if subcommand == "dispersion":
+        curve = dispersion(p, j, xi2_max=cfg.xi2_max, samples=cfg.xi2_samples)
     if subcommand == "simulate":
-        # Checked before anything is written, so a rejected run leaves no
-        # files; a run that fails while stepping keeps its manifest.
         dom, sim = cfg.domain(), cfg.sim_config()
         check_run(p, dom, sim)
         check_threshold(cfg.peak_threshold)
@@ -218,15 +243,13 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
     write_manifest(cfg, out_dir)
 
     if subcommand == "steady":
-        eq = steady_state(p)
         print(f"beta_bar = {_fmt(eq.beta_bar)}")
         print(f"gamma_bar = {_fmt(eq.gamma_bar)}")
         print(f"theta = {_fmt(eq.theta)}")
         return 0
 
     if subcommand == "stability":
-        eq = steady_state(p)
-        verdict = turing_classify(p, eq, jacobian(p, eq))
+        verdict = turing_classify(p, eq, j)
         print(f"trace = {_fmt(verdict.trace)}")
         print(f"det = {_fmt(verdict.det)}")
         print(f"ode_stable = {str(verdict.ode_stable).lower()}")
@@ -235,14 +258,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
         return 0
 
     if subcommand == "dispersion":
-        eq = steady_state(p)
-        j = jacobian(p, eq)
-        curve = dispersion(p, j, xi2_max=cfg.xi2_max, samples=cfg.xi2_samples)
-        _write_csv(
-            out_dir / "dispersion.csv",
-            "xi2,growth_rate",
-            zip((float(v) for v in curve.xi2_samples), (float(v) for v in curve.growth_rates)),
-        )
+        _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
+                       curve.xi2_samples, curve.growth_rates)
         band = unstable_band(curve)
         if band is None:
             print("unstable_band = empty")
@@ -252,8 +269,6 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
         return 0
 
     if subcommand == "simulate":
-        eq = steady_state(p)
-        j = jacobian(p, eq)
         curve = dispersion(p, j)
         band = unstable_band(curve)
         snapshots = simulate(p, dom, sim)
@@ -287,15 +302,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
         return 0
 
     if subcommand == "scan":
-        grid = scan_region(
-            p,
-            (cfg.r_c_min, cfg.r_c_max),
-            (cfg.a_min, cfg.a_max),
-            (cfg.r_c_steps, cfg.a_steps),
-            theta=cfg.theta_target,
-        )
         write_scan_csv(grid, out_dir / "scan.csv")
-        print(f"turing_cells = {int(np.sum(grid.verdicts == 2))}")
+        print(f"turing_cells = {np.count_nonzero(grid.verdicts == Verdict.TURING)}")
         return 0
 
     raise ConfigError(f"unknown subcommand {subcommand!r}")

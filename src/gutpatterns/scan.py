@@ -32,7 +32,7 @@ class Verdict(IntEnum):
 class ScanGrid:
     r_c_axis: np.ndarray
     a_axis: np.ndarray
-    verdicts: np.ndarray  # shape (len(r_c_axis), len(a_axis)), Verdict codes
+    verdicts: np.ndarray  # int8, shape (len(r_c_axis), len(a_axis)), Verdict codes
 
 
 def classify_point(base: ModelParams, r_c: float, a: float, theta: float = DEFAULT_THETA) -> Verdict:
@@ -80,7 +80,7 @@ def scan_region(
     value = a * kappa * theta**2 / (s + theta) ** 2 - base.r_b * theta - f_e_kappa
 
     r_c_col = r_c[:, None]
-    verdicts = np.full((resolution[0], resolution[1]), int(Verdict.STABLE_ONLY), dtype=int)
+    verdicts = np.full((resolution[0], resolution[1]), int(Verdict.STABLE_ONLY), dtype=np.int8)
     verdicts[np.broadcast_to(value >= r_c_col, verdicts.shape)] = int(Verdict.ODE_UNSTABLE)
     turing = (value > 0.0) & (value < r_c_col)
     verdicts[np.broadcast_to(turing, verdicts.shape)] = int(Verdict.TURING)

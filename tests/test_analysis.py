@@ -21,7 +21,57 @@ def field(beta, gamma=None):
     return FieldState(time=0.0, beta=beta, gamma=gamma)
 
 
+def detect_peaks_loop(b: np.ndarray, x: np.ndarray, rel_threshold: float):
+    """Element-by-element peak scan: the reference for detect_peaks."""
+    n = b.shape[0]
+    peak_max = b.max()
+    if peak_max <= 0.0:
+        return 0, []
+    threshold = rel_threshold * peak_max
+    positions = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and b[j + 1] == b[i]:
+            j += 1
+        # run of equal values on [i, j]
+        left_lower = i > 0 and b[i - 1] < b[i]
+        right_lower = j < n - 1 and b[j + 1] < b[i]
+        left_ok = left_lower or i == 0
+        right_ok = right_lower or j == n - 1
+        interior_run = i > 0 or j < n - 1  # a run covering the whole grid is constant
+        if b[i] > threshold and left_ok and right_ok and interior_run and (left_lower or right_lower):
+            positions.append(0.5 * (x[i] + x[j]))
+        i = j + 1
+    return len(positions), positions
+
+
+def plateau_rich_fields(rng, n):
+    """Profiles full of ties: few levels, runs, constants and edge maxima."""
+    yield rng.integers(0, 3, n).astype(float)
+    yield rng.integers(-3, 4, n) * 0.25
+    yield np.repeat(rng.integers(0, 6, n), rng.integers(1, 9, n))[:n].astype(float)
+    yield np.full(n, 2.5)
+    yield np.zeros(n)
+    edges = rng.integers(0, 4, n).astype(float)
+    edges[[0, -1]] = 4.0
+    yield edges
+    edges = np.repeat(rng.integers(0, 4, n), 3)[:n].astype(float)
+    edges[:5] = edges[-5:] = 4.0
+    yield edges
+    yield rng.uniform(0.0, 1.0, n)
+
+
 class TestDetectPeaks:
+    @pytest.mark.parametrize("n", [16, 17, 64, 1001, 30000])
+    def test_matches_loop_reference(self, rng, n):
+        dom = Domain1D(length=0.03, n_points=n)
+        for beta in plateau_rich_fields(rng, n):
+            for rel in (0.1, 0.5, 0.9):
+                count, positions = detect_peaks(field(beta), dom, rel)
+                assert (count, positions) == detect_peaks_loop(beta, dom.x(), rel)
+                assert all(type(v) is float for v in positions)
+
     def test_constant_field(self):
         dom = Domain1D(length=1.0, n_points=100)
         count, positions = detect_peaks(field(np.full(100, 5.0)), dom)

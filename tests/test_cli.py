@@ -5,11 +5,21 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gutpatterns.cli import SUBCOMMANDS, RunConfig, main, parse_config
+from gutpatterns import Domain1D, FieldState, ScanGrid, Verdict, scan_region, table1_params
+from gutpatterns.cli import (
+    SUBCOMMANDS,
+    RunConfig,
+    _fmt,
+    main,
+    parse_config,
+    write_scan_csv,
+    write_snapshot,
+)
 from gutpatterns.errors import ConfigError
 
 SMALL_SIM = """\
@@ -142,6 +152,43 @@ class TestSubcommands:
         assert (tmp_path / "out" / "manifest").exists()
 
 
+def csv_reference(header: str, rows) -> str:
+    """CSV text formatted value by value with _fmt: the writers' reference."""
+    return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def scan_csv_reference(grid: ScanGrid) -> str:
+    rows = [[float(r_c)] + [int(v) for v in codes] for r_c, codes in zip(grid.r_c_axis, grid.verdicts)]
+    return csv_reference("," + ",".join(_fmt(float(a)) for a in grid.a_axis), rows)
+
+
+class TestWritersMatchReference:
+    def test_scan_csv_every_code(self, tmp_path):
+        # first column all INFEASIBLE; axis values that repr spells out in full
+        codes = np.array([[-1, 0, 1, 2], [-1, 2, 1, 0], [-1, 1, 1, 1], [-1, 2, 2, 2]], dtype=np.int8)
+        grid = ScanGrid(r_c_axis=np.array([1e-3, 0.1 + 0.2, 5e-324, 1e16]),
+                        a_axis=np.array([0.05, 1.0 / 3.0, 0.7, 1.0]), verdicts=codes)
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_scan_csv_of_scan_region(self, tmp_path):
+        grid = scan_region(table1_params(), (1e-4, 0.3), (0.01, 3.0), (23, 41))
+        assert grid.verdicts.dtype == np.int8
+        assert set(np.unique(grid.verdicts)) == {int(v) for v in Verdict}
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_snapshot(self, tmp_path, rng):
+        b_i = 1e17
+        beta = np.concatenate([[0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0],
+                               rng.uniform(0.0, b_i, 27)])
+        gamma = np.concatenate([[1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0], rng.uniform(0.0, 1e16, 27)])
+        dom = Domain1D(length=0.03, n_points=beta.size)
+        write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, tmp_path)
+        rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
+        assert (tmp_path / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
+
+
 def read_outputs(out_dir: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
 
@@ -196,7 +243,8 @@ r_c_steps = 4
 a_steps = 4
 """
 PROPERTY_KEYS = ("seed", "xi2_max", "xi2_samples", "t_end", "dt", "snapshot_every",
-                 "noise_rel", "spot_amplitude", "background", "theta_target", "peak_threshold")
+                 "noise_rel", "spot_amplitude", "background", "theta_target", "peak_threshold",
+                 "r_c_min", "r_c_max", "a_min", "a_max", "r_c_steps", "a_steps")
 # Valid but unbounded values (t_end = 1e308, dt = 1e-300) are left out: they
 # would run ~1e308 steps.
 PROPERTY_VALUES = ("-1", "0", "2.5", "3", "inf", "-inf", "nan")
@@ -214,8 +262,8 @@ def _assert_finite_outputs(out_dir: Path, subcommand: str, t_end: float) -> None
         assert (out_dir / f"snap_t{t_end:g}.csv").exists()
 
 
-# The space is 11 x 7 x 5 = 385 cases; Hypothesis stops once it has tried them all.
-@settings(max_examples=500, deadline=None, database=None)
+# The space is 17 x 7 x 5 = 595 cases; Hypothesis stops once it has tried them all.
+@settings(max_examples=1000, deadline=None, database=None)
 @given(key=st.sampled_from(PROPERTY_KEYS), value=st.sampled_from(PROPERTY_VALUES),
        subcommand=st.sampled_from(SUBCOMMANDS))
 def test_config_runs_clean_or_fails_with_one_error_line(key, value, subcommand):
@@ -232,3 +280,5 @@ def test_config_runs_clean_or_fails_with_one_error_line(key, value, subcommand):
             assert code in (1, 2)
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            # a run rejected at validation writes nothing
+            assert code == 2 or not (out_dir / "manifest").exists()
