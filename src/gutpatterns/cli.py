@@ -15,6 +15,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,16 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _read_config(path: Path) -> str:
+    """The text of a config file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -172,12 +183,14 @@ def write_manifest(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
 
 
-def _write_columns(path: Path, header: str, *columns: np.ndarray) -> None:
-    """Write equal-length float columns as CSV rows, each value as its repr."""
-    text = [map(repr, column.tolist()) for column in columns]
+def _write_columns(path: Path, header: str, rows: str, *columns: np.ndarray) -> None:
+    """Write CSV text: ``header``, then the ``rows`` template with its ``%r``
+    fields filled in row order from equal-length float columns. ``%r`` of a
+    Python float is its repr."""
+    body = rows % tuple(np.column_stack(columns).ravel().tolist())
     with path.open("w") as f:
         f.write(header + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*text))
+        f.write(body)
 
 
 def _snapshot_name(t: float) -> str:
@@ -187,9 +200,16 @@ def _snapshot_name(t: float) -> str:
     return f"snap_t{_fmt(t)}.csv"
 
 
+@functools.lru_cache(maxsize=1)
+def _snapshot_rows(dom: Domain1D) -> str:
+    """Row template of a snapshot on ``dom``: x as its repr, then ``%r`` for
+    beta and gamma. Every snapshot of a run shares it, so x is formatted once."""
+    return "".join(f"{x!r},%r,%r\n" for x in dom.x().tolist())
+
+
 def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
     _write_columns(out_dir / _snapshot_name(state.time), "x,beta,gamma",
-                   dom.x(), state.beta, state.gamma)
+                   _snapshot_rows(dom), state.beta, state.gamma)
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
@@ -239,7 +259,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
         dom, sim = cfg.domain(), cfg.sim_config()
         check_run(p, dom, sim)
         check_threshold(cfg.peak_threshold)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: {exc.strerror}") from exc
     write_manifest(cfg, out_dir)
 
     if subcommand == "steady":
@@ -259,7 +282,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
 
     if subcommand == "dispersion":
         _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
-                       curve.xi2_samples, curve.growth_rates)
+                       "%r,%r\n" * curve.xi2_samples.size, curve.xi2_samples, curve.growth_rates)
         band = unstable_band(curve)
         if band is None:
             print("unstable_band = empty")
@@ -321,8 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text() if args.config is not None else ""
-        cfg = parse_config(text)
+        cfg = parse_config(_read_config(args.config) if args.config is not None else "")
         if args.seed is not None:
             cfg.seed = args.seed
         return run(args.subcommand, cfg, args.out)

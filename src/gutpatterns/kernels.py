@@ -10,6 +10,10 @@ with L the second-difference operator closed by ghost-node reflection
 and d, so it is LU-factored once with LAPACK ``dgttrf`` and each step
 only back-substitutes with ``dgttrs`` (Anderson et al., *LAPACK Users'
 Guide*, 1999).
+
+A step allocates no arrays: the reaction update writes its intermediates
+into a caller-owned work array with ``out=`` and in-place ufuncs, and
+``dgttrs`` solves in place on the right-hand sides it leaves there.
 """
 
 from __future__ import annotations
@@ -37,14 +41,44 @@ def factor(n: int, mu: float) -> tuple:
     return tuple(lu)
 
 
-def step_arrays(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c):
-    """One step of both fields; ``lu_b``/``lu_c`` come from :func:`factor`."""
-    logistic = 1.0 - b
-    rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
-    rhs_g = g + dt * (f_b * b - r_c * g)
+def work_array(n: int) -> np.ndarray:
+    """A work array for :func:`step_arrays` on ``n`` nodes."""
+    return np.empty((4, n))
+
+
+def step_arrays(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c, work):
+    """One step of both fields; ``lu_b``/``lu_c`` come from :func:`factor`.
+
+    Every intermediate is written into ``work`` (from :func:`work_array`),
+    and the two returned fields are its first two rows, so ``b`` and ``g``
+    must not share memory with it. The operations and their order are those
+    of ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)``
+    and ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, so the
+    result is bitwise that of the expressions.
+    """
+    rhs_b, rhs_g, logistic, tmp = work
+    np.subtract(1.0, b, out=logistic)
+    np.multiply(r_b, logistic, out=rhs_b)
+    rhs_b *= b                        # growth
+    np.multiply(f_e, logistic, out=rhs_g)
+    rhs_g *= g                        # leakage, held in rhs_g until it is added
+    np.multiply(a, b, out=tmp)
+    tmp *= g
+    np.add(s, b, out=logistic)        # logistic is not read again
+    tmp /= logistic                   # predation
+    rhs_b -= tmp
+    rhs_b += rhs_g
+    rhs_b *= dt
+    rhs_b += b
+    np.multiply(f_b, b, out=rhs_g)
+    np.multiply(r_c, g, out=tmp)
+    rhs_g -= tmp
+    rhs_g *= dt
+    rhs_g += g
     return _solve(lu_b, rhs_b), _solve(lu_c, rhs_g)
 
 
 def _solve(lu, rhs):
+    """Solve in place: ``dgttrs`` overwrites ``rhs`` with the solution."""
     x, _ = dgttrs(*lu, rhs, overwrite_b=1)
     return x

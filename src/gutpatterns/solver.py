@@ -130,10 +130,10 @@ def initial_state(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> FieldState:
 
 def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
     """Enforce field invariants in scaled units, in place."""
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(g))):
+    # NaN propagates through min and max, and an infinity is one of them.
+    b_min, b_max, g_min, g_max = b.min(), b.max(), g.min(), g.max()
+    if not all(map(math.isfinite, (b_min, b_max, g_min, g_max))):
         raise InvariantError(f"non-finite field value at t={t} min")
-    b_min = b.min()
-    g_min = g.min()
     if b_min < -CLAMP_TOL or g_min < -CLAMP_TOL:
         raise InvariantError(
             f"negativity beyond tolerance at t={t} min "
@@ -143,7 +143,7 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
         np.clip(b, 0.0, None, out=b)
     if g_min < 0.0:
         np.clip(g, 0.0, None, out=g)
-    b_max = b.max()
+    # clipping negatives to 0 leaves b_max's comparisons with 1 as they were
     if b_max >= 1.0 + CLAMP_TOL:
         raise InvariantError(f"beta exceeded b_i at t={t} min (beta/b_i={b_max:.6e})")
     if b_max >= 1.0:
@@ -153,8 +153,11 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
 class _Integrator:
     """Steps scaled fields for one (p, dom, dt).
 
-    Holds what stays fixed over a run: ``s = s_b/b_i`` and the LU factors of
-    both diffusion matrices.
+    Holds what stays fixed over a run: ``s = s_b/b_i``, the LU factors of
+    both diffusion matrices and two kernel work arrays. Each step writes
+    into the work array its input did not come from, so a step's output,
+    the next step's input, is never overwritten while it is read; it stays
+    valid until the step after next.
     """
 
     def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
@@ -164,12 +167,18 @@ class _Integrator:
         self.s = p.s_b / p.b_i
         self.lu_b = kernels.factor(dom.n_points, dt * p.d_b / dom.dx**2)
         self.lu_c = kernels.factor(dom.n_points, dt * p.d_c / dom.dx**2)
+        self.work = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
 
     def advance(self, b, g, t_next):
-        """Return the scaled fields one step on, checked and clamped at ``t_next``."""
+        """Return the scaled fields one step on, checked and clamped at ``t_next``.
+
+        The result lives in a work array that the step after next reuses.
+        """
         p = self.p
+        work, spare = self.work
+        self.work = (spare, work)
         b_new, g_new = kernels.step_arrays(b, g, self.dt, self.lu_b, self.lu_c,
-                                           p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c)
+                                           p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c, work)
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new
 

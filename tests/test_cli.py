@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gutpatterns import Domain1D, FieldState, ScanGrid, Verdict, scan_region, table1_params
+from gutpatterns import (
+    Domain1D,
+    FieldState,
+    ScanGrid,
+    Verdict,
+    dispersion,
+    jacobian,
+    scan_region,
+    steady_state,
+    table1_params,
+)
 from gutpatterns.cli import (
     SUBCOMMANDS,
     RunConfig,
@@ -141,6 +151,23 @@ class TestSubcommands:
         assert len(err) == 1 and err[0].startswith("error:") and "noise_rel" in err[0]
         assert not (tmp_path / "out" / "manifest").exists()
 
+    @pytest.mark.parametrize("case", ["missing_config", "config_is_dir", "config_not_utf8",
+                                      "out_is_file"])
+    def test_unusable_path_fails_with_one_error_line(self, tmp_path, capsys, case):
+        cfg, out = tmp_path / "cfg", tmp_path / "out"
+        if case == "config_is_dir":
+            cfg.mkdir()
+        elif case == "config_not_utf8":
+            cfg.write_bytes(b"r_b = 0.01  # \xff\n")
+        elif case == "out_is_file":
+            cfg.write_text(SMALL_SIM)
+            out.write_text("not a directory\n")
+        before = {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")}
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
+
     def test_failed_step_keeps_manifest(self, tmp_path, capsys):
         # a small s_b makes the explicit killing term overshoot at t=1
         cfg = tmp_path / "cfg"
@@ -179,14 +206,35 @@ class TestWritersMatchReference:
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
 
     def test_snapshot(self, tmp_path, rng):
+        # domains A, B, A, then C (A's n_points, another length): a row
+        # template kept from another domain would put the wrong x in the file
         b_i = 1e17
-        beta = np.concatenate([[0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0],
-                               rng.uniform(0.0, b_i, 27)])
-        gamma = np.concatenate([[1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0], rng.uniform(0.0, 1e16, 27)])
-        dom = Domain1D(length=0.03, n_points=beta.size)
-        write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, tmp_path)
-        rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
-        assert (tmp_path / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
+        special_beta = [0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0]
+        special_gamma = [1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0]
+        dom_a = Domain1D(length=0.03, n_points=32)
+        dom_b = Domain1D(length=0.011, n_points=19)
+        dom_c = Domain1D(length=0.011, n_points=32)
+        for k, dom in enumerate([dom_a, dom_b, dom_a, dom_c]):
+            n = dom.n_points - len(special_beta)
+            beta = np.concatenate([special_beta, rng.uniform(0.0, b_i, n)])
+            gamma = np.concatenate([special_gamma, rng.uniform(0.0, 1e16, n)])
+            out_dir = tmp_path / str(k)
+            out_dir.mkdir()
+            write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, out_dir)
+            rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
+            assert (out_dir / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
+
+    @pytest.mark.parametrize("config", ["xi2_samples = 2048\n", "xi2_samples = 333\nxi2_max = 1e9\n"])
+    def test_dispersion(self, tmp_path, config):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run_cfg = parse_config(config)
+        p = run_cfg.params()
+        curve = dispersion(p, jacobian(p, steady_state(p)), xi2_max=run_cfg.xi2_max,
+                           samples=run_cfg.xi2_samples)
+        rows = [[float(v) for v in row] for row in zip(curve.xi2_samples, curve.growth_rates)]
+        assert (tmp_path / "out" / "dispersion.csv").read_text() == csv_reference("xi2,growth_rate", rows)
 
 
 def read_outputs(out_dir: Path) -> dict[str, bytes]:

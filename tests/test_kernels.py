@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrs
 
 from gutpatterns import kernels
 from gutpatterns.errors import InvariantError
@@ -20,7 +21,8 @@ def diffusion_solve(rhs, mu):
     ``(I - mu*L) x = rhs``."""
     n = rhs.shape[0]
     lu = kernels.factor(n, mu)
-    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, lu, lu, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, lu, lu, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                               kernels.work_array(n))
     return x
 
 
@@ -38,3 +40,32 @@ def test_singular_matrix_raises():
     # mu = -1/2 on an odd grid makes I - mu*L exactly singular
     with pytest.raises(InvariantError, match="dgttrf"):
         kernels.factor(17, -0.5)
+
+
+def reference_step(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c):
+    """The step as allocating expressions, each evaluated left to right."""
+    logistic = 1.0 - b
+    rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
+    rhs_g = g + dt * (f_b * b - r_c * g)
+    return (dgttrs(*lu_b, rhs_b)[0], dgttrs(*lu_c, rhs_g)[0])
+
+
+@pytest.mark.parametrize("n", [16, 3000])
+def test_step_in_work_array_matches_allocating_reference(n, rng):
+    lu_b = kernels.factor(n, 0.37)
+    lu_c = kernels.factor(n, 412.5)
+    rates = (0.0347, 0.3129, 0.01, 0.0856, 2.05e-3, 0.02)
+    work = kernels.work_array(n)
+    work[...] = np.nan  # whatever a previous step left there must not leak in
+    for _ in range(3):
+        b = rng.uniform(0.0, 1.0, n)
+        g = rng.uniform(0.0, 0.5, n) * rng.choice([0.0, 1.0, 1e-9], n)
+        dt = rng.uniform(0.1, 2.0)
+        expected = reference_step(b, g, dt, lu_b, lu_c, *rates)
+        b_in, g_in = b.copy(), g.copy()
+        got = kernels.step_arrays(b, g, dt, lu_b, lu_c, *rates, work)
+        for x, ref, row in zip(got, expected, work):
+            np.testing.assert_array_equal(x.view(np.int64), ref.view(np.int64))  # bitwise
+            assert np.shares_memory(x, row)
+        np.testing.assert_array_equal(b, b_in)
+        np.testing.assert_array_equal(g, g_in)

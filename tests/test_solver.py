@@ -15,7 +15,7 @@ from gutpatterns import (
     step,
     steady_state,
 )
-from gutpatterns.solver import max_stable_dt
+from gutpatterns.solver import _check_and_clamp, max_stable_dt
 
 
 class TestDomain:
@@ -101,12 +101,20 @@ class TestStep:
         with pytest.raises(InvariantError, match="negativity"):
             step(p, domain, s, 1.0)
 
-    def test_non_finite_input_raises_invariant_error(self, p_table1, domain):
-        beta = np.zeros(domain.n_points)
-        beta[7] = np.nan
-        s = FieldState(0.0, beta, np.zeros(domain.n_points))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the reaction
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_invariant_error(self, p_table1, domain, value, field, index):
+        fields = {"beta": np.zeros(domain.n_points), "gamma": np.zeros(domain.n_points)}
+        fields[field][index] = value
+        s = FieldState(0.0, **fields)
         with pytest.raises(InvariantError, match="non-finite"):
             step(p_table1, domain, s, 1.0)
+        # a step spreads these inputs as NaN over both fields; the check must
+        # also catch a lone infinity among finite values
+        with pytest.raises(InvariantError, match="non-finite"):
+            _check_and_clamp(fields["beta"] / p_table1.b_i, fields["gamma"] / p_table1.b_i, 1.0)
 
 
 class TestSimulate:
@@ -114,6 +122,15 @@ class TestSimulate:
         cfg = SimConfig(t_end=500.0, dt=1.0, snapshot_every=200.0)
         snaps = simulate(p_table1, domain, cfg)
         assert [s.time for s in snaps] == [0.0, 200.0, 400.0, 500.0]
+
+    def test_snapshots_share_no_memory(self, p_table1, domain):
+        # the integrator steps in reused work arrays; a snapshot must not be one
+        cfg = SimConfig(t_end=5.0, dt=1.0, snapshot_every=1.0)
+        arrays = [a for s in simulate(p_table1, domain, cfg) for a in (s.beta, s.gamma)]
+        assert len(arrays) == 12
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_invariants_along_run(self, p_table1, domain):
         cfg = SimConfig(t_end=2000.0, dt=1.0, snapshot_every=500.0)
