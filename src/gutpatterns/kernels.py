@@ -6,39 +6,58 @@ g = gamma/b_i:
     (I - dt*mu*L) u_new = u + dt * reaction(u)
 
 with L the second-difference operator closed by ghost-node reflection
-(homogeneous Neumann) and mu = d/dx^2. The matrix depends only on dt, dx
-and d, so it is LU-factored once with LAPACK ``dgttrf`` and each step
-only back-substitutes with ``dgttrs`` (Anderson et al., *LAPACK Users'
-Guide*, 1999).
+(homogeneous Neumann) and mu = d/dx^2. Ghost-node reflection doubles the
+off-diagonal of the two end rows, so ``I - dt*mu*L`` is not symmetric;
+halving those two rows makes it symmetric positive definite, with
+diagonal ``0.5 + mu`` at the ends, ``1 + 2*mu`` inside and ``-mu`` off
+the diagonal. The same two rows of the right-hand side are halved to
+match. Both fields' row-scaled matrices are stacked into one 2n-node
+tridiagonal matrix whose coupling entry between them is zero, so one
+LAPACK ``dpttrf`` factors it as L*D*L^T once per run and each step makes
+one ``dpttrs`` call, which solves without pivoting and with no division
+in its loop-carried chain (Anderson et al., *LAPACK Users' Guide*, 1999).
+The zero coupling leaves the factors and the solution of each field
+bitwise those of factoring and solving it alone.
 
 A step allocates no arrays: the reaction update writes its intermediates
 into a caller-owned work array with ``out=`` and in-place ufuncs, and
-``dgttrs`` solves in place on the right-hand sides it leaves there.
+``dpttrs`` solves in place on the right-hand sides it leaves there.
+
+scipy is imported by :func:`factor`, not here, so the subcommands that
+never step do not pay for loading it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InvariantError
 
 
-def factor(n: int, mu: float) -> tuple:
-    """LU factors of the n-node reflecting-end matrix ``I - mu*L``.
+def factor(n: int, mu_b: float, mu_c: float) -> functools.partial:
+    """Factor both fields' row-scaled n-node matrices ``I - mu*L`` at once.
 
-    ``mu`` already includes ``dt``. Returns ``(dl, d, du, du2, ipiv)`` as
-    ``dgttrs`` takes them.
+    ``mu_b`` and ``mu_c`` already include ``dt``. Returns the solve: a
+    callable that overwrites a contiguous 2n right-hand side (bacteria
+    first, end entries halved) with the solution.
     """
-    dl = np.full(n - 1, -mu)
-    du = np.full(n - 1, -mu)
-    du[0] = -2.0 * mu
-    dl[-1] = -2.0 * mu
-    d = np.full(n, 1.0 + 2.0 * mu)
-    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    mu = np.repeat([mu_b, mu_c], n)
+    d = 1.0 + 2.0 * mu
+    ends = [0, n - 1, n, 2 * n - 1]
+    d[ends] = 0.5 + mu[ends]
+    e = -mu[:-1]
+    e[n - 1] = 0.0  # the two fields do not couple through diffusion
+    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
-        raise InvariantError(f"diffusion matrix is singular (LAPACK dgttrf info={info}, mu={mu!r})")
-    return tuple(lu)
+        raise InvariantError(
+            f"diffusion matrix is not positive definite "
+            f"(LAPACK dpttrf info={info}, mu_b={mu_b!r}, mu_c={mu_c!r})"
+        )
+    return functools.partial(dpttrs, d, e, overwrite_b=1)
 
 
 def work_array(n: int) -> np.ndarray:
@@ -46,15 +65,15 @@ def work_array(n: int) -> np.ndarray:
     return np.empty((4, n))
 
 
-def step_arrays(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c, work):
-    """One step of both fields; ``lu_b``/``lu_c`` come from :func:`factor`.
+def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, work):
+    """One step of both fields; ``solve`` comes from :func:`factor`.
 
     Every intermediate is written into ``work`` (from :func:`work_array`),
     and the two returned fields are its first two rows, so ``b`` and ``g``
     must not share memory with it. The operations and their order are those
     of ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)``
     and ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, so the
-    result is bitwise that of the expressions.
+    right-hand sides are bitwise those of the expressions.
     """
     rhs_b, rhs_g, logistic, tmp = work
     np.subtract(1.0, b, out=logistic)
@@ -75,10 +94,6 @@ def step_arrays(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c, work):
     rhs_g -= tmp
     rhs_g *= dt
     rhs_g += g
-    return _solve(lu_b, rhs_b), _solve(lu_c, rhs_g)
-
-
-def _solve(lu, rhs):
-    """Solve in place: ``dgttrs`` overwrites ``rhs`` with the solution."""
-    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
-    return x
+    work[:2, ::work.shape[1] - 1] *= 0.5  # the end rows, halved like those of the matrices
+    solve(work[:2].reshape(-1))       # rows 0 and 1 are contiguous: a view, solved in place
+    return rhs_b, rhs_g

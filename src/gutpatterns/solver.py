@@ -153,8 +153,9 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
 class _Integrator:
     """Steps scaled fields for one (p, dom, dt).
 
-    Holds what stays fixed over a run: ``s = s_b/b_i``, the LU factors of
-    both diffusion matrices and two kernel work arrays. Each step writes
+    Holds what stays fixed over a run: ``s = s_b/b_i``, the solve of both
+    fields' diffusion matrices, factored together once by
+    :func:`kernels.factor`, and two kernel work arrays. Each step writes
     into the work array its input did not come from, so a step's output,
     the next step's input, is never overwritten while it is read; it stays
     valid until the step after next.
@@ -165,8 +166,7 @@ class _Integrator:
         self.p = p
         self.dt = dt
         self.s = p.s_b / p.b_i
-        self.lu_b = kernels.factor(dom.n_points, dt * p.d_b / dom.dx**2)
-        self.lu_c = kernels.factor(dom.n_points, dt * p.d_c / dom.dx**2)
+        self.solve = kernels.factor(dom.n_points, dt * p.d_b / dom.dx**2, dt * p.d_c / dom.dx**2)
         self.work = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
 
     def advance(self, b, g, t_next):
@@ -177,7 +177,7 @@ class _Integrator:
         p = self.p
         work, spare = self.work
         self.work = (spare, work)
-        b_new, g_new = kernels.step_arrays(b, g, self.dt, self.lu_b, self.lu_c,
+        b_new, g_new = kernels.step_arrays(b, g, self.dt, self.solve,
                                            p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c, work)
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gutpatterns
 from gutpatterns import (
     Domain1D,
     FieldState,
@@ -271,6 +275,35 @@ class TestReproducibility:
         a = (out1 / "snap_t0.csv").read_bytes()
         b = (out2 / "snap_t0.csv").read_bytes()
         assert a != b
+
+
+# Runs one subcommand in a fresh interpreter and prints whether scipy was loaded.
+_SCIPY_PROBE = """\
+import sys
+from gutpatterns.cli import main
+code = main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("subcommand,config,loads_scipy", [
+    ("steady", "", False),
+    ("stability", "", False),
+    ("dispersion", "", False),
+    ("scan", "r_c_steps = 12\na_steps = 10\n", False),
+    ("simulate", SMALL_SIM, True),
+])
+def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy):
+    # scipy's import costs ~0.3 s; only the diffusion solve needs it
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    src = str(Path(gutpatterns.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}", proc.stderr
 
 
 def test_runconfig_defaults_match_canonical_set():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from gutpatterns import kernels
 from gutpatterns.errors import InvariantError
@@ -20,8 +20,8 @@ def diffusion_solve(rhs, mu):
     """The solve inside ``step_arrays``: with every rate zero the update is
     ``(I - mu*L) x = rhs``."""
     n = rhs.shape[0]
-    lu = kernels.factor(n, mu)
-    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, lu, lu, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+    solve = kernels.factor(n, mu, mu)
+    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, solve, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
                                kernels.work_array(n))
     return x
 
@@ -37,23 +37,53 @@ def test_banded_solve_matches_dense(n, mu, rng):
 
 
 def test_singular_matrix_raises():
-    # mu = -1/2 on an odd grid makes I - mu*L exactly singular
-    with pytest.raises(InvariantError, match="dgttrf"):
-        kernels.factor(17, -0.5)
+    # mu = -1/2 on an odd grid makes I - mu*L exactly singular, in either field
+    for mu_b, mu_c in [(-0.5, -0.5), (0.3, -0.5)]:
+        with pytest.raises(InvariantError, match="dpttrf"):
+            kernels.factor(17, mu_b, mu_c)
 
 
-def reference_step(b, g, dt, lu_b, lu_c, r_b, a, s, f_e, f_b, r_c):
-    """The step as allocating expressions, each evaluated left to right."""
+def field_factors(n, mu):
+    """``dpttrf`` of one field's row-scaled matrix: ``I - mu*L`` with its
+    two end rows halved."""
+    d = np.full(n, 1.0 + 2.0 * mu)
+    d[0] = d[-1] = 0.5 + mu
+    d, e, info = dpttrf(d, np.full(n - 1, -mu))
+    assert info == 0
+    return d, e
+
+
+def field_solve(factors, rhs):
+    """Solve one field's system for an unscaled right-hand side."""
+    rhs = rhs.copy()
+    rhs[[0, -1]] *= 0.5
+    return dpttrs(*factors, rhs)[0]
+
+
+@pytest.mark.parametrize("n", [16, 3000])
+def test_stacked_solve_matches_per_field_solves(n, rng):
+    mu_b, mu_c = 0.37, 412.5
+    rhs = rng.standard_normal(2 * n)
+    expected = np.concatenate([dpttrs(*field_factors(n, mu_b), rhs[:n])[0],
+                               dpttrs(*field_factors(n, mu_c), rhs[n:])[0]])
+    x = rhs.copy()
+    kernels.factor(n, mu_b, mu_c)(x)
+    np.testing.assert_array_equal(x.view(np.int64), expected.view(np.int64))  # bitwise, in place
+
+
+def reference_step(b, g, dt, factors_b, factors_c, r_b, a, s, f_e, f_b, r_c):
+    """The step as allocating expressions, each evaluated left to right,
+    then one solve per field."""
     logistic = 1.0 - b
     rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
     rhs_g = g + dt * (f_b * b - r_c * g)
-    return (dgttrs(*lu_b, rhs_b)[0], dgttrs(*lu_c, rhs_g)[0])
+    return field_solve(factors_b, rhs_b), field_solve(factors_c, rhs_g)
 
 
 @pytest.mark.parametrize("n", [16, 3000])
 def test_step_in_work_array_matches_allocating_reference(n, rng):
-    lu_b = kernels.factor(n, 0.37)
-    lu_c = kernels.factor(n, 412.5)
+    solve = kernels.factor(n, 0.37, 412.5)
+    factors_b, factors_c = field_factors(n, 0.37), field_factors(n, 412.5)
     rates = (0.0347, 0.3129, 0.01, 0.0856, 2.05e-3, 0.02)
     work = kernels.work_array(n)
     work[...] = np.nan  # whatever a previous step left there must not leak in
@@ -61,9 +91,9 @@ def test_step_in_work_array_matches_allocating_reference(n, rng):
         b = rng.uniform(0.0, 1.0, n)
         g = rng.uniform(0.0, 0.5, n) * rng.choice([0.0, 1.0, 1e-9], n)
         dt = rng.uniform(0.1, 2.0)
-        expected = reference_step(b, g, dt, lu_b, lu_c, *rates)
+        expected = reference_step(b, g, dt, factors_b, factors_c, *rates)
         b_in, g_in = b.copy(), g.copy()
-        got = kernels.step_arrays(b, g, dt, lu_b, lu_c, *rates, work)
+        got = kernels.step_arrays(b, g, dt, solve, *rates, work)
         for x, ref, row in zip(got, expected, work):
             np.testing.assert_array_equal(x.view(np.int64), ref.view(np.int64))  # bitwise
             assert np.shares_memory(x, row)

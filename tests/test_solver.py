@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from gutpatterns import (
     Domain1D,
@@ -11,6 +12,7 @@ from gutpatterns import (
     ParameterError,
     SimConfig,
     initial_state,
+    reaction_terms,
     simulate,
     step,
     steady_state,
@@ -164,6 +166,32 @@ class TestSimulate:
             assert a.time == b.time
             np.testing.assert_allclose(a.beta, b.beta, rtol=rtol, atol=0.0)
             np.testing.assert_allclose(a.gamma, b.gamma, rtol=rtol, atol=0.0)
+
+    def test_trajectory_matches_dense_lu_reference(self, p_table1):
+        # An independent stepper on the unsymmetric ghost-node matrix, solved
+        # by dense LU. Kept before the pattern locks in (t <= 360): later,
+        # round-off differences move the peaks and pointwise errors mean nothing.
+        dom = Domain1D(length=0.004, n_points=400)
+        cfg = SimConfig(t_end=360.0, dt=1.0, snapshot_every=360.0, spot_center=0.002)
+        final = simulate(p_table1, dom, cfg)[-1]
+
+        def dense_lu(d):
+            mu = cfg.dt * d / dom.dx**2
+            n = dom.n_points
+            A = np.diag(np.full(n, 1.0 + 2.0 * mu)) - mu * (np.eye(n, k=1) + np.eye(n, k=-1))
+            A[0, 1] = A[-1, -2] = -2.0 * mu  # ghost-node reflection
+            return lu_factor(A)
+
+        lu_b, lu_c = dense_lu(p_table1.d_b), dense_lu(p_table1.d_c)
+        s = initial_state(p_table1, dom, cfg)
+        beta, gamma = s.beta, s.gamma
+        for _ in range(360):
+            dbeta, dgamma = reaction_terms(p_table1, beta, gamma)
+            beta = lu_solve(lu_b, beta + cfg.dt * dbeta)
+            gamma = lu_solve(lu_c, gamma + cfg.dt * dgamma)
+        assert final.time == 360.0
+        for got, ref in ((final.beta, beta), (final.gamma, gamma)):
+            assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-12
 
     def test_perturbation_ic_deterministic(self, p_table1, domain):
         cfg = SimConfig(t_end=10.0, dt=1.0, snapshot_every=10.0, ic="perturbation", seed=42)
