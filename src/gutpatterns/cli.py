@@ -213,7 +213,7 @@ def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
-# tokens with a NUL, which write_scan_csv strips.
+# tokens with a NUL, which write_scan_csv deletes with bytes.translate.
 _VERDICT_OFFSET = -min(Verdict)
 _VERDICT_TOKENS = np.array(
     [f"{int(Verdict(code))},".encode() for code in range(min(Verdict), max(Verdict) + 1)],
@@ -222,12 +222,18 @@ _VERDICT_TOKENS = np.array(
 
 
 def write_scan_csv(grid: ScanGrid, path: Path) -> None:
-    """Header of a values, then one row per r_c: the r_c value and its codes."""
-    with path.open("wb") as f:
+    """Header of a values, then one row per r_c: the r_c value and its codes.
+    A row whose codes equal the row above's reuses that row's cell bytes."""
+    with path.open("wb", buffering=1 << 20) as f:
         f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
+        last_codes, cells = None, b""
         for r_c, codes in zip(grid.r_c_axis.tolist(), grid.verdicts):
-            cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().replace(b"\0", b"")
-            f.write(f"{r_c!r},".encode() + cells[:-1] + b"\n")
+            key = codes.tobytes()
+            if key != last_codes:
+                last_codes = key
+                cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().translate(None, b"\0")[:-1] + b"\n"
+            f.write(f"{r_c!r},".encode())
+            f.write(cells)
 
 
 def _json_safe(value):

@@ -2,13 +2,16 @@
 
 Each grid point follows the calibration recipe: f_b = 0.1 * r_c and f_e
 chosen so the equilibrium sits at theta * b_i; points where no positive f_e
-exists are INFEASIBLE. The grid evaluation is fully vectorized; a scalar
-path (classify_point) runs the same pipeline through the model-core and
-stability modules and is used as the cross-check oracle in tests.
+exists are INFEASIBLE. The Turing condition reduces to 0 < M11 < r_c with
+M11 = value(a) independent of r_c, so each a-column is a step in r_c:
+scan_region finds one r_c threshold per column and fills the grid from it.
+A scalar path (classify_point) runs the same pipeline through the model-core
+and stability modules and stays the cross-check oracle in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -60,6 +63,9 @@ def scan_region(
     theta: float = DEFAULT_THETA,
 ) -> ScanGrid:
     """Classify the full rectangle; cells are independent of evaluation order."""
+    for name, bounds in (("r_c_range", r_c_range), ("a_range", a_range)):
+        if not all(math.isfinite(v) for v in bounds):
+            raise ParameterError(f"scan {name} must be finite, got {tuple(bounds)!r}")
     if r_c_range[0] <= 0.0 or a_range[0] <= 0.0:
         raise ParameterError("scan ranges must be positive")
     if r_c_range[1] <= r_c_range[0] or a_range[1] <= a_range[0]:
@@ -79,12 +85,14 @@ def scan_region(
     # Turing condition value; equals M11 at the calibrated equilibrium.
     value = a * kappa * theta**2 / (s + theta) ** 2 - base.r_b * theta - f_e_kappa
 
-    r_c_col = r_c[:, None]
-    verdicts = np.full((resolution[0], resolution[1]), int(Verdict.STABLE_ONLY), dtype=np.int8)
-    verdicts[np.broadcast_to(value >= r_c_col, verdicts.shape)] = int(Verdict.ODE_UNSTABLE)
-    turing = (value > 0.0) & (value < r_c_col)
-    verdicts[np.broadcast_to(turing, verdicts.shape)] = int(Verdict.TURING)
-    verdicts[:, ~feasible] = int(Verdict.INFEASIBLE)
+    # A feasible column is ODE_UNSTABLE in its first `steps` rows (r_c <= value;
+    # linspace is non-decreasing), then TURING if value > 0, else STABLE_ONLY.
+    # An infeasible column has no unstable rows and is INFEASIBLE throughout.
+    steps = np.where(feasible, np.searchsorted(r_c, value, side="right"), 0)
+    above = np.where(value > 0.0, Verdict.TURING, Verdict.STABLE_ONLY).astype(np.int8)
+    above[~feasible] = Verdict.INFEASIBLE
+    rows = np.arange(resolution[0])[:, None]
+    verdicts = np.where(rows < steps, np.int8(Verdict.ODE_UNSTABLE), above)
     return ScanGrid(r_c_axis=r_c, a_axis=a, verdicts=verdicts)
 
 

@@ -202,12 +202,41 @@ class TestWritersMatchReference:
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
 
+    @pytest.mark.parametrize("codes", [
+        # consecutive equal rows, then a change, then equal again
+        [[2, 2, 1], [2, 2, 1], [2, 2, 1], [0, 2, 1], [0, 2, 1]],
+        # a row equal to an earlier, non-adjacent row
+        [[0, 1, 2], [2, 1, 0], [0, 1, 2], [2, 1, 0]],
+        # rows that differ from the row above only in their last cell
+        [[1, 2, 0, 2], [1, 2, 0, 1], [1, 2, 0, -1], [1, 2, 0, -1]],
+        # one row only
+        [[0, 2, -1, 1, 2]],
+        # an all-INFEASIBLE row between others, and one at the end
+        [[-1, 2, 1], [-1, -1, -1], [0, 2, -1], [-1, -1, -1]],
+    ], ids=["repeats", "non-adjacent", "last-cell", "one-row", "all-infeasible"])
+    def test_scan_csv_row_reuse(self, tmp_path, codes):
+        verdicts = np.array(codes, dtype=np.int8)
+        n_rows, n_cols = verdicts.shape
+        grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, n_rows),
+                        a_axis=np.linspace(0.05, 1.0, n_cols), verdicts=verdicts)
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
     def test_scan_csv_of_scan_region(self, tmp_path):
         grid = scan_region(table1_params(), (1e-4, 0.3), (0.01, 3.0), (23, 41))
         assert grid.verdicts.dtype == np.int8
         assert set(np.unique(grid.verdicts)) == {int(v) for v in Verdict}
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_scan_subcommand_300x300(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("r_c_steps = 300\na_steps = 300\n")
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run_cfg = parse_config(cfg.read_text())
+        grid = scan_region(run_cfg.params(), (run_cfg.r_c_min, run_cfg.r_c_max),
+                           (run_cfg.a_min, run_cfg.a_max), (300, 300), theta=run_cfg.theta_target)
+        assert (tmp_path / "out" / "scan.csv").read_text() == scan_csv_reference(grid)
 
     def test_snapshot(self, tmp_path, rng):
         # domains A, B, A, then C (A's n_points, another length): a row
