@@ -30,7 +30,7 @@ from .params import (
     with_calibrated_fe,
 )
 from .scan import ScanGrid, Verdict, classify_point, scan_region
-from .solver import Domain1D, FieldState, SimConfig, initial_state, simulate, step
+from .solver import Domain1D, FieldState, SimConfig, initial_state, simulate
 from .stability import (
     DispersionCurve,
     Jacobian2x2,
@@ -80,7 +80,6 @@ __all__ = [
     "scan_region",
     "simulate",
     "steady_state",
-    "step",
     "table1_params",
     "turing_classify",
     "unstable_band",

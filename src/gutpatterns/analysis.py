@@ -18,6 +18,7 @@ from .solver import Domain1D, FieldState
 
 CONSTANT_FIELD_RTOL = 1e-14
 LOW_VARIANCE_FACTOR = 1e-6  # of beta_ref^2: skip band checking below this
+PEAK_THRESHOLD = 0.1  # default peak cut, relative to max(beta)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ def check_threshold(rel_threshold: float) -> None:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
 
 
-def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = 0.1):
+def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
     """Strict local maxima of beta above rel_threshold * max(beta).
 
     Plateaus report their midpoint; boundary nodes are eligible via the
@@ -105,7 +106,7 @@ def analyze_pattern(
     dom: Domain1D,
     band: tuple[float, float] | None,
     beta_ref: float | None = None,
-    rel_threshold: float = 0.1,
+    rel_threshold: float = PEAK_THRESHOLD,
 ) -> PatternReport:
     """Full pattern report for one state.
 
@@ -140,7 +141,7 @@ def analyze_pattern(
     )
 
 
-def snapshot_stats(s: FieldState, dom: Domain1D, rel_threshold: float = 0.1) -> dict:
+def snapshot_stats(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD) -> dict:
     """Per-snapshot row for the time-series output."""
     count, _ = detect_peaks(s, dom, rel_threshold)
     return {

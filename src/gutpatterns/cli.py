@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: steady, stability, dispersion, simulate, scan. Configuration is
-a flat ``key = value`` file with ``#`` comments; omitted keys fall back to
-the canonical defaults, and an omitted f_e is calibrated at theta_target.
-Every run that passes validation writes a ``manifest`` echoing the fully
-resolved configuration; feeding the manifest back as the config reproduces
-the run byte for byte. A run rejected at validation (exit 1) writes
-nothing.
+a flat ``key = value`` file with ``#`` comments; omitted keys take their
+:data:`DEFAULTS`, which are those of ``TABLE1``, ``Domain1D`` and
+``SimConfig``, and an omitted f_e is calibrated at theta_target. Every run
+that passes validation writes a ``manifest`` echoing the fully resolved
+configuration; feeding the manifest back as the config reproduces the run
+byte for byte. A run rejected at validation (exit 1) writes nothing.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation.
@@ -19,12 +19,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_pattern, check_threshold, snapshot_stats
+from .analysis import PEAK_THRESHOLD, analyze_pattern, check_threshold, snapshot_stats
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -36,86 +36,55 @@ from .errors import (
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, Verdict, scan_region
 from .solver import Domain1D, FieldState, SimConfig, check_run, simulate
-from .stability import dispersion, jacobian, turing_classify, unstable_band
-
-SUBCOMMANDS = ("steady", "stability", "dispersion", "simulate", "scan")
+from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify, unstable_band
 
 
-@dataclass
+# Every config key with its default, in manifest order. A key's type is that
+# of its default; a default of None stands for a float with no fixed value.
+DEFAULTS = {
+    **TABLE1,
+    "f_e": None,  # calibrated at theta_target
+    "theta_target": DEFAULT_THETA,
+    **{f.name: f.default for cls in (Domain1D, SimConfig) for f in fields(cls)},
+    "xi2_max": None,  # dispersion picks its own range
+    "xi2_samples": DISPERSION_SAMPLES,
+    # the (r_c, a) scan rectangle
+    "r_c_min": 1e-3,
+    "r_c_max": 5e-2,
+    "a_min": 5e-2,
+    "a_max": 1.0,
+    "r_c_steps": 200,
+    "a_steps": 200,
+    "peak_threshold": PEAK_THRESHOLD,
+}
+
+
 class RunConfig:
-    # kinetics / transport (defaults: canonical set)
-    r_b: float = TABLE1["r_b"]
-    r_c: float = TABLE1["r_c"]
-    d_b: float = TABLE1["d_b"]
-    d_c: float = TABLE1["d_c"]
-    b_i: float = TABLE1["b_i"]
-    f_b: float = TABLE1["f_b"]
-    a: float = TABLE1["a"]
-    s_b: float = TABLE1["s_b"]
-    f_e: float | None = None       # None -> calibrate at theta_target
-    theta_target: float = DEFAULT_THETA
-    # domain
-    length: float = 0.03
-    n_points: int = 3000
-    # simulation
-    dt: float = 1.0
-    t_end: float = 20160.0
-    snapshot_every: float = 1440.0
-    ic: str = "spot"
-    spot_center: float = 0.015
-    spot_half_width: float = 5e-5
-    spot_amplitude: float = 1e15
-    background: float = 0.0
-    noise_rel: float = 1e-3
-    seed: int = 0
-    # dispersion sampling
-    xi2_max: float | None = None
-    xi2_samples: int = 512
-    # scan rectangle
-    r_c_min: float = 1e-3
-    r_c_max: float = 5e-2
-    a_min: float = 5e-2
-    a_max: float = 1.0
-    r_c_steps: int = 200
-    a_steps: int = 200
-    # analysis
-    peak_threshold: float = 0.1
+    """One attribute per :data:`DEFAULTS` key, plus ``fe_calibrated``, which
+    :meth:`resolve` sets when it calibrates f_e."""
 
-    fe_calibrated: bool = False  # set by resolve(); not a config key
+    def __init__(self):
+        self.__dict__.update(DEFAULTS)
+        self.fe_calibrated = False
+
+    def _project(self, cls, **override):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | override)
 
     def resolve(self) -> None:
         """Fill in a calibrated f_e when none was given."""
         if self.f_e is None:
-            partial = ModelParams(
-                r_b=self.r_b, r_c=self.r_c, d_b=self.d_b, d_c=self.d_c,
-                b_i=self.b_i, f_b=self.f_b, a=self.a, s_b=self.s_b, f_e=0.0,
-            )
-            self.f_e = calibrate_fe(partial, self.theta_target)
+            self.f_e = calibrate_fe(self._project(ModelParams, f_e=0.0), self.theta_target)
             self.fe_calibrated = True
 
     def params(self) -> ModelParams:
         self.resolve()
-        return ModelParams(
-            r_b=self.r_b, r_c=self.r_c, d_b=self.d_b, d_c=self.d_c,
-            b_i=self.b_i, f_b=self.f_b, a=self.a, s_b=self.s_b, f_e=self.f_e,
-        )
+        return self._project(ModelParams)
 
     def domain(self) -> Domain1D:
-        return Domain1D(length=self.length, n_points=self.n_points)
+        return self._project(Domain1D)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            t_end=self.t_end, dt=self.dt, snapshot_every=self.snapshot_every,
-            ic=self.ic, spot_center=self.spot_center,
-            spot_half_width=self.spot_half_width,
-            spot_amplitude=self.spot_amplitude, background=self.background,
-            noise_rel=self.noise_rel, seed=self.seed,
-        )
-
-
-_INT_KEYS = {"n_points", "seed", "xi2_samples", "r_c_steps", "a_steps"}
-_STR_KEYS = {"ic"}
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"fe_calibrated"}
+        return self._project(SimConfig)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -130,18 +99,14 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        kind = float if DEFAULTS[key] is None else type(DEFAULTS[key])
         try:
-            if key in _STR_KEYS:
-                parsed = value
-            elif key in _INT_KEYS:
-                parsed = int(value)
-            else:
-                parsed = float(value)
+            parsed = kind(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-        if key not in _STR_KEYS and not math.isfinite(parsed):
+        if kind is not str and not math.isfinite(parsed):
             raise ConfigError(f"line {lineno}: {key} must be finite")
         setattr(cfg, key, parsed)
     try:
@@ -168,18 +133,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_manifest(cfg: RunConfig, out_dir: Path) -> None:
+def _start_outputs(cfg: RunConfig, out_dir: Path) -> None:
+    """Create ``out_dir`` and write the manifest into it."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: {exc.strerror}") from exc
     cfg.resolve()
     lines = ["# resolved configuration; reusable as --config"]
     if cfg.fe_calibrated:
         lines.append("# f_e was calibrated from theta_target")
-    for f in fields(RunConfig):
-        if f.name == "fe_calibrated":
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_fmt(value)}")
+    lines += [f"{key} = {_fmt(getattr(cfg, key))}" for key in DEFAULTS if getattr(cfg, key) is not None]
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
 
 
@@ -242,100 +206,92 @@ def _json_safe(value):
     return value
 
 
-def run(subcommand: str, cfg: RunConfig, out_dir: Path) -> int:
-    """Execute one subcommand; returns the process exit status."""
+# Each handler below runs everything that can reject the config before it
+# calls _start_outputs, so a run that exits 1 leaves no files; a simulate run
+# that fails while stepping keeps its manifest.
+
+
+def _linearised(cfg: RunConfig):
     p = cfg.params()
-    # Everything that can reject the config runs before anything is written,
-    # so a run that exits 1 leaves no files; a simulate run that fails while
-    # stepping keeps its manifest.
-    if subcommand == "scan":
-        grid = scan_region(
-            p,
-            (cfg.r_c_min, cfg.r_c_max),
-            (cfg.a_min, cfg.a_max),
-            (cfg.r_c_steps, cfg.a_steps),
-            theta=cfg.theta_target,
-        )
+    eq = steady_state(p)
+    return p, eq, jacobian(p, eq)
+
+
+def _steady(cfg: RunConfig, out_dir: Path) -> None:
+    eq = steady_state(cfg.params())
+    _start_outputs(cfg, out_dir)
+    print(f"beta_bar = {_fmt(eq.beta_bar)}")
+    print(f"gamma_bar = {_fmt(eq.gamma_bar)}")
+    print(f"theta = {_fmt(eq.theta)}")
+
+
+def _stability(cfg: RunConfig, out_dir: Path) -> None:
+    p, eq, j = _linearised(cfg)
+    _start_outputs(cfg, out_dir)
+    verdict = turing_classify(p, eq, j)
+    print(f"trace = {_fmt(verdict.trace)}")
+    print(f"det = {_fmt(verdict.det)}")
+    print(f"ode_stable = {str(verdict.ode_stable).lower()}")
+    print(f"turing_condition_value = {_fmt(verdict.turing_condition_value)}")
+    print(f"turing = {str(verdict.turing).lower()}")
+
+
+def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
+    p, _, j = _linearised(cfg)
+    curve = dispersion(p, j, xi2_max=cfg.xi2_max, samples=cfg.xi2_samples)
+    _start_outputs(cfg, out_dir)
+    _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
+                   "%r,%r\n" * curve.xi2_samples.size, curve.xi2_samples, curve.growth_rates)
+    band = unstable_band(curve)
+    if band is None:
+        print("unstable_band = empty")
     else:
-        eq = steady_state(p)
-        j = jacobian(p, eq)
-    if subcommand == "dispersion":
-        curve = dispersion(p, j, xi2_max=cfg.xi2_max, samples=cfg.xi2_samples)
-    if subcommand == "simulate":
-        dom, sim = cfg.domain(), cfg.sim_config()
-        check_run(p, dom, sim)
-        check_threshold(cfg.peak_threshold)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: {exc.strerror}") from exc
-    write_manifest(cfg, out_dir)
+        print(f"lambda_minus = {_fmt(band[0])}")
+        print(f"lambda_plus = {_fmt(band[1])}")
 
-    if subcommand == "steady":
-        print(f"beta_bar = {_fmt(eq.beta_bar)}")
-        print(f"gamma_bar = {_fmt(eq.gamma_bar)}")
-        print(f"theta = {_fmt(eq.theta)}")
-        return 0
 
-    if subcommand == "stability":
-        verdict = turing_classify(p, eq, j)
-        print(f"trace = {_fmt(verdict.trace)}")
-        print(f"det = {_fmt(verdict.det)}")
-        print(f"ode_stable = {str(verdict.ode_stable).lower()}")
-        print(f"turing_condition_value = {_fmt(verdict.turing_condition_value)}")
-        print(f"turing = {str(verdict.turing).lower()}")
-        return 0
+def _simulate(cfg: RunConfig, out_dir: Path) -> None:
+    p, eq, j = _linearised(cfg)
+    band = unstable_band(dispersion(p, j))
+    dom, sim = cfg.domain(), cfg.sim_config()
+    check_run(p, dom, sim)
+    check_threshold(cfg.peak_threshold)
+    _start_outputs(cfg, out_dir)
+    snapshots = simulate(p, dom, sim)
+    lines = ["t,beta_variance,gamma_variance,beta_max,peak_count"]
+    for state in snapshots:
+        write_snapshot(state, dom, out_dir)
+        lines.append(",".join(map(_fmt, snapshot_stats(state, dom, cfg.peak_threshold).values())))
+    report = analyze_pattern(snapshots[-1], dom, band,
+                             beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold)
+    report_kv = {
+        "peak_count": report.peak_count,
+        "dominant_xi2": report.dominant_xi2,
+        "dominant_wavelength_m": report.dominant_wavelength,
+        "in_predicted_band": report.in_predicted_band,
+        "spatial_variance": report.spatial_variance,
+    }
+    lines += [f"# {key} = {_fmt(value)}" for key, value in report_kv.items()]
+    (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "report.json").write_text(
+        json.dumps({k: _json_safe(v) for k, v in report_kv.items()}, indent=2) + "\n"
+    )
+    print(f"snapshots = {len(snapshots)}")
+    print(f"peak_count = {report.peak_count}")
+    print(f"in_predicted_band = {str(report.in_predicted_band).lower()}")
 
-    if subcommand == "dispersion":
-        _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
-                       "%r,%r\n" * curve.xi2_samples.size, curve.xi2_samples, curve.growth_rates)
-        band = unstable_band(curve)
-        if band is None:
-            print("unstable_band = empty")
-        else:
-            print(f"lambda_minus = {_fmt(band[0])}")
-            print(f"lambda_plus = {_fmt(band[1])}")
-        return 0
 
-    if subcommand == "simulate":
-        curve = dispersion(p, j)
-        band = unstable_band(curve)
-        snapshots = simulate(p, dom, sim)
-        series_rows = []
-        for state in snapshots:
-            write_snapshot(state, dom, out_dir)
-            stats = snapshot_stats(state, dom, cfg.peak_threshold)
-            series_rows.append([stats["t"], stats["beta_variance"], stats["gamma_variance"],
-                                stats["beta_max"], stats["peak_count"]])
-        report = analyze_pattern(snapshots[-1], dom, band,
-                                 beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold)
-        report_kv = {
-            "peak_count": report.peak_count,
-            "dominant_xi2": report.dominant_xi2,
-            "dominant_wavelength_m": report.dominant_wavelength,
-            "in_predicted_band": report.in_predicted_band,
-            "spatial_variance": report.spatial_variance,
-        }
-        lines = ["t,beta_variance,gamma_variance,beta_max,peak_count"]
-        for row in series_rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        for key, value in report_kv.items():
-            lines.append(f"# {key} = {_fmt(value)}")
-        (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
-        (out_dir / "report.json").write_text(
-            json.dumps({k: _json_safe(v) for k, v in report_kv.items()}, indent=2) + "\n"
-        )
-        print(f"snapshots = {len(snapshots)}")
-        print(f"peak_count = {report.peak_count}")
-        print(f"in_predicted_band = {str(report.in_predicted_band).lower()}")
-        return 0
+def _scan(cfg: RunConfig, out_dir: Path) -> None:
+    grid = scan_region(cfg.params(), (cfg.r_c_min, cfg.r_c_max), (cfg.a_min, cfg.a_max),
+                       (cfg.r_c_steps, cfg.a_steps), theta=cfg.theta_target)
+    _start_outputs(cfg, out_dir)
+    write_scan_csv(grid, out_dir / "scan.csv")
+    print(f"turing_cells = {np.count_nonzero(grid.verdicts == Verdict.TURING)}")
 
-    if subcommand == "scan":
-        write_scan_csv(grid, out_dir / "scan.csv")
-        print(f"turing_cells = {np.count_nonzero(grid.verdicts == Verdict.TURING)}")
-        return 0
 
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+_HANDLERS = {"steady": _steady, "stability": _stability, "dispersion": _dispersion,
+             "simulate": _simulate, "scan": _scan}
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -353,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(_read_config(args.config) if args.config is not None else "")
         if args.seed is not None:
             cfg.seed = args.seed
-        return run(args.subcommand, cfg, args.out)
+        _HANDLERS[args.subcommand](cfg, args.out)
+        return 0
     except (ConfigError, ParameterError, CalibrationError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

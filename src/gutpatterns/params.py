@@ -196,7 +196,12 @@ def steady_state(p: ModelParams) -> Equilibrium:
     x = min(max(x, 0.0), 1.0)
 
     beta_bar = x * p.b_i
-    return Equilibrium(beta_bar=beta_bar, gamma_bar=p.kappa * beta_bar, theta=x)
+    gamma_bar = p.kappa * beta_bar
+    if not (math.isfinite(x) and math.isfinite(gamma_bar)):
+        raise ParameterError(
+            f"the steady state is not finite in floating point (theta={x!r}, gamma_bar={gamma_bar!r})"
+        )
+    return Equilibrium(beta_bar=beta_bar, gamma_bar=gamma_bar, theta=x)
 
 
 def calibrate_fe(p: ModelParams, theta_target: float) -> float:

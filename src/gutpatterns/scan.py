@@ -79,7 +79,11 @@ def scan_region(
     s = base.s_b / base.b_i
 
     # Calibrated feedback per a-column; independent of r_c since kappa is.
-    f_e_kappa = a * kappa * theta / ((s + theta) * (1.0 - theta)) - base.r_b
+    with np.errstate(over="ignore"):
+        f_e_kappa = a * kappa * theta / ((s + theta) * (1.0 - theta)) - base.r_b
+        finite = np.isfinite(f_e_kappa / kappa)
+    if not finite.all():
+        raise ParameterError(f"calibrated f_e must be finite; it overflows from a = {float(a[~finite][0])!r}")
     feasible = f_e_kappa > 0.0
 
     # Turing condition value; equals M11 at the calibrated equilibrium.

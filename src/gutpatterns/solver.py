@@ -23,10 +23,11 @@ DT_SAFETY = 0.2            # explicit-reaction stability margin
 
 @dataclass(frozen=True)
 class Domain1D:
-    """Uniform 1-D grid on [0, length] with Neumann ends."""
+    """Uniform 1-D grid on [0, length] with Neumann ends; the defaults are
+    the canonical 3 cm, 10 um grid."""
 
-    length: float
-    n_points: int
+    length: float = 0.03
+    n_points: int = 3000
 
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0.0):
@@ -60,8 +61,8 @@ class SimConfig:
     ("perturbation", deterministic for a fixed seed).
     """
 
-    t_end: float
     dt: float = 1.0
+    t_end: float = 20160.0
     snapshot_every: float = 1440.0
     ic: str = "spot"
     spot_center: float = 0.015
@@ -78,8 +79,8 @@ class SimConfig:
             raise ParameterError(f"t_end must be >= dt, got {self.t_end!r}")
         if not _is_multiple(self.t_end, self.dt):
             raise ParameterError(f"t_end must be a multiple of dt, got {self.t_end!r}")
-        if self.snapshot_every <= 0.0 or not _is_multiple(self.snapshot_every, self.dt):
-            raise ParameterError("snapshot_every must be a positive multiple of dt")
+        if not (self.snapshot_every >= self.dt and _is_multiple(self.snapshot_every, self.dt)):
+            raise ParameterError(f"snapshot_every must be a positive multiple of dt, got {self.snapshot_every!r}")
         if self.ic not in ("spot", "perturbation"):
             raise ParameterError(f"unknown initial condition {self.ic!r}")
         if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:
@@ -166,7 +167,7 @@ class _Integrator:
         self.p = p
         self.dt = dt
         self.s = p.s_b / p.b_i
-        self.solve = kernels.factor(dom.n_points, dt * p.d_b / dom.dx**2, dt * p.d_c / dom.dx**2)
+        self.solve = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
         self.work = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
 
     def advance(self, b, g, t_next):
@@ -191,17 +192,25 @@ def _check_dt(p: ModelParams, dt: float) -> None:
         raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
 
 
-def step(p: ModelParams, dom: Domain1D, s: FieldState, dt: float) -> FieldState:
-    """Advance one time step and return the new state."""
-    b = s.beta / p.b_i
-    g = s.gamma / p.b_i
-    b, g = _Integrator(p, dom, dt).advance(b, g, s.time + dt)
-    return FieldState(time=s.time + dt, beta=b * p.b_i, gamma=g * p.b_i)
+def _diffusion_numbers(p: ModelParams, dom: Domain1D, dt: float) -> tuple[float, float]:
+    """``dt*d/dx^2`` of both fields; ParameterError unless both are positive
+    and finite, as they are not when dx^2 overflows or underflows."""
+    try:
+        mu = (dt * p.d_b / dom.dx**2, dt * p.d_c / dom.dx**2)
+    except (OverflowError, ZeroDivisionError):
+        mu = (math.nan, math.nan)
+    if not all(0.0 < m < math.inf for m in mu):
+        raise ParameterError(
+            f"diffusion numbers dt*d/dx^2 = {mu!r} must be positive and finite "
+            f"(length {dom.length!r}, n_points {dom.n_points})"
+        )
+    return mu
 
 
 def check_run(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> None:
     """Raise ParameterError if :func:`simulate` would reject these inputs."""
     _check_dt(p, cfg.dt)
+    _diffusion_numbers(p, dom, cfg.dt)
     initial_state(p, dom, cfg)
 
 

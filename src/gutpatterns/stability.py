@@ -20,6 +20,7 @@ from .errors import ConsistencyError, ParameterError
 from .params import Equilibrium, ModelParams
 
 REL_TOL_IDENTITY = 1e-9  # Turing condition value vs M11 agreement
+DISPERSION_SAMPLES = 512  # default sample count of dispersion()
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,13 @@ def jacobian(p: ModelParams, eq: Equilibrium) -> Jacobian2x2:
     theta = eq.theta
     kappa = p.kappa
     denom = p.s_b + beta
-    m11 = p.r_b * (1.0 - 2.0 * theta) - p.a * p.s_b * kappa * beta / denom**2 - p.f_e * kappa * theta
+    try:
+        m11 = p.r_b * (1.0 - 2.0 * theta) - p.a * p.s_b * kappa * beta / denom**2 - p.f_e * kappa * theta
+    except OverflowError:  # denom**2
+        m11 = math.nan
     m12 = -p.a * beta / denom + p.f_e * (1.0 - theta)
+    if not (math.isfinite(m11) and math.isfinite(m12)):
+        raise ParameterError(f"the Jacobian at the equilibrium is not finite (m11={m11!r}, m12={m12!r})")
     return Jacobian2x2(m11=m11, m12=m12, m21=p.f_b, m22=-p.r_c)
 
 
@@ -123,9 +129,12 @@ def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float, bool]:
 
     Cancellation-safe: the larger-magnitude root comes from the quadratic
     formula with the matching sign, the other from the product of roots.
-    Returns (nan, nan, False) when a2 never becomes negative.
+    Returns (nan, nan, False) when a2 never becomes negative; raises
+    ParameterError when d_b*d_c is not a positive finite float.
     """
     A = p.d_b * p.d_c
+    if not 0.0 < A < math.inf:
+        raise ParameterError(f"d_b*d_c = {A!r} must be positive and finite")
     B = -(j.m11 * p.d_c + j.m22 * p.d_b)
     C = j.det
     disc = B * B - 4.0 * A * C
@@ -160,30 +169,40 @@ def dispersion(
     p: ModelParams,
     j: Jacobian2x2,
     xi2_max: float | None = None,
-    samples: int = 512,
+    samples: int = DISPERSION_SAMPLES,
 ) -> DispersionCurve:
     """Growth rate over a range of squared wavenumbers plus the unstable band.
 
     With ``xi2_max`` given, samples are linear on [0, xi2_max]. Otherwise,
-    when a band exists, 512 (or ``samples``) log-spaced points span
+    when a band exists, ``samples`` log-spaced points span
     [lambda_minus/100, lambda_plus*100]; without a band the sampling spans
     six decades around the characteristic scale sqrt(det/(d_b*d_c)).
+    Non-finite band edges, samples or growth rates raise ParameterError.
     """
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples}")
     lam_minus, lam_plus, nonempty = band_edges(p, j)
+    if nonempty and not (math.isfinite(lam_minus) and math.isfinite(lam_plus)):
+        raise ParameterError(f"unstable band edges must be finite, got ({lam_minus!r}, {lam_plus!r})")
     if xi2_max is not None:
         if not (math.isfinite(xi2_max) and xi2_max > 0.0):
             raise ParameterError(f"xi2_max must be positive and finite, got {xi2_max!r}")
         xi2 = np.linspace(0.0, xi2_max, samples)
-    elif nonempty:
-        lo = max(lam_minus, 0.0)
-        lo = lo / 100.0 if lo > 0.0 else lam_plus * 1e-6
-        xi2 = np.geomspace(lo, lam_plus * 100.0, samples)
     else:
-        x_char = math.sqrt(j.det / (p.d_b * p.d_c))
-        xi2 = np.geomspace(x_char * 1e-3, x_char * 1e3, samples)
-    rates = growth_rate(p, j, xi2)
+        if nonempty:
+            lo = max(lam_minus, 0.0)
+            lo = lo / 100.0 if lo > 0.0 else lam_plus * 1e-6
+            hi = lam_plus * 100.0
+        else:
+            x_char = math.sqrt(max(j.det, 0.0) / (p.d_b * p.d_c))
+            lo, hi = x_char * 1e-3, x_char * 1e3
+        if not 0.0 < lo < hi < math.inf:
+            raise ParameterError(f"dispersion sampling range [{lo!r}, {hi!r}] is not finite and positive")
+        xi2 = np.geomspace(lo, hi, samples)
+    with np.errstate(all="ignore"):
+        rates = growth_rate(p, j, xi2)
+    if not np.isfinite(rates).all():
+        raise ParameterError("growth rates are not finite over the sampled wavenumbers")
     return DispersionCurve(
         xi2_samples=xi2,
         growth_rates=rates,

@@ -23,13 +23,14 @@ from gutpatterns import (
     jacobian,
     scan_region,
     steady_state,
-    step,
     turing_classify,
 )
 from gutpatterns.params import _equilibrium_residual
 from gutpatterns.scan import turing_window
 from gutpatterns.cli import main
+from gutpatterns.solver import _Integrator
 from tests.test_params import random_params
+from tests.test_solver import advance_state
 from tests.test_stability import a2_coefficient, bisect_a2_root
 
 from tests.conftest import FIG2_DOMAIN as DOM
@@ -144,7 +145,7 @@ def test_criterion_8_solver_invariants(p_table1, eq_table1, fig2_run, control_ru
     # homogeneous equilibrium preserved to 1e-12 per step
     s = FieldState(0.0, np.full(DOM.n_points, eq_table1.beta_bar),
                    np.full(DOM.n_points, eq_table1.gamma_bar))
-    s1 = step(p_table1, DOM, s, 1.0)
+    s1 = advance_state(_Integrator(p_table1, DOM, 1.0), s)
     assert np.max(np.abs(s1.beta / eq_table1.beta_bar - 1.0)) < 1e-12
 
     # pure-diffusion mass conservation over 100 steps
@@ -153,8 +154,9 @@ def test_criterion_8_solver_invariants(p_table1, eq_table1, fig2_run, control_ru
     beta[DOM.n_points // 2] = 1e15
     state = FieldState(0.0, beta, np.zeros(DOM.n_points))
     mass0 = state.beta.sum() * DOM.dx
+    integrator = _Integrator(p_diff, DOM, 1.0)
     for _ in range(100):
-        state = step(p_diff, DOM, state, 1.0)
+        state = advance_state(integrator, state)
     mass_err = abs(state.beta.sum() * DOM.dx - mass0) / mass0
     assert mass_err < 1e-10
     _passed(8, f"all snapshots non-negative with beta<b_i, mass error {mass_err:.2e}")

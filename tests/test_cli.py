@@ -172,6 +172,39 @@ class TestSubcommands:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
 
+    # Each config is accepted by the parser but overflows, underflows or
+    # divides by zero in floating point somewhere in the subcommand; warnings
+    # are errors here, so a RuntimeWarning on the way to the rejection fails.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subcommand,config", [
+        ("scan", "theta_target = 0.9999999\na_max = 1e308"),
+        ("simulate", "length = 1e-300"),
+        ("simulate", "length = 1e300"),
+        ("simulate", "snapshot_every = 1e-300"),
+        ("steady", "r_c = 1e-300"),
+        ("stability", "b_i = 1e300"),
+        ("dispersion", "b_i = 1e300"),
+        ("simulate", "b_i = 1e300"),
+        ("dispersion", "d_b = 1e300"),
+        ("dispersion", "d_b = 1e-320"),
+        ("dispersion", "d_c = 1e300"),
+        ("dispersion", "d_c = 1e-300"),
+        ("dispersion", "r_c = 1e-300"),
+        ("dispersion", "f_b = 1e300"),
+        ("dispersion", "a = 1e300"),
+        ("dispersion", "f_e = 1e300"),
+        ("dispersion", "d_b = 1e300\nd_c = 1e300"),
+        ("simulate", "d_b = 1e300\nd_c = 1e300"),
+    ])
+    def test_float_extremes_fail_with_one_error_line(self, tmp_path, capsys, subcommand, config):
+        cfg, out = tmp_path / "cfg", tmp_path / "out"
+        cfg.write_text(SMALL_SIM + config + "\n")
+        before = {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")}
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
+
     def test_failed_step_keeps_manifest(self, tmp_path, capsys):
         # a small s_b makes the explicit killing term overshoot at t=1
         cfg = tmp_path / "cfg"
