@@ -187,17 +187,30 @@ _VERDICT_TOKENS = np.array(
 
 def write_scan_csv(grid: ScanGrid, path: Path) -> None:
     """Header of a values, then one row per r_c: the r_c value and its codes.
-    A row whose codes equal the row above's reuses that row's cell bytes."""
+
+    Rows change only where the row index passes some column's threshold, so
+    the cell bytes are built once per range of rows between consecutive
+    distinct thresholds; one row of codes is updated in place as it passes them.
+    """
+    n_rows = grid.r_c_axis.size
+    order = np.argsort(grid.steps, kind="stable")
+    thresholds = grid.steps[order]
+    above = grid.above[order]
+    codes = np.full(grid.a_axis.size, Verdict.ODE_UNSTABLE, dtype=np.int8)
+    bounds = sorted({0, n_rows, *thresholds.tolist()})
+    r_c = grid.r_c_axis.tolist()
     with path.open("wb", buffering=1 << 20) as f:
         f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
-        last_codes, cells = None, b""
-        for r_c, codes in zip(grid.r_c_axis.tolist(), grid.verdicts):
-            key = codes.tobytes()
-            if key != last_codes:
-                last_codes = key
-                cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().translate(None, b"\0")[:-1] + b"\n"
-            f.write(f"{r_c!r},".encode())
-            f.write(cells)
+        passed = 0
+        for start, stop in zip(bounds, bounds[1:]):
+            # the columns whose threshold is `start` take their code from here on
+            now = int(np.searchsorted(thresholds, start, side="right"))
+            codes[order[passed:now]] = above[passed:now]
+            passed = now
+            cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().translate(None, b"\0")[:-1] + b"\n"
+            for value in r_c[start:stop]:
+                f.write(f"{value!r},".encode())
+                f.write(cells)
 
 
 def _json_safe(value):
@@ -286,7 +299,9 @@ def _scan(cfg: RunConfig, out_dir: Path) -> None:
                        (cfg.r_c_steps, cfg.a_steps), theta=cfg.theta_target)
     _start_outputs(cfg, out_dir)
     write_scan_csv(grid, out_dir / "scan.csv")
-    print(f"turing_cells = {np.count_nonzero(grid.verdicts == Verdict.TURING)}")
+    # a TURING column is TURING below its threshold, in n_rows - steps cells
+    turing_steps = grid.steps[grid.above == Verdict.TURING]
+    print(f"turing_cells = {int((grid.r_c_axis.size - turing_steps).sum())}")
 
 
 _HANDLERS = {"steady": _steady, "stability": _stability, "dispersion": _dispersion,

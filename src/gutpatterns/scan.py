@@ -4,13 +4,16 @@ Each grid point follows the calibration recipe: f_b = 0.1 * r_c and f_e
 chosen so the equilibrium sits at theta * b_i; points where no positive f_e
 exists are INFEASIBLE. The Turing condition reduces to 0 < M11 < r_c with
 M11 = value(a) independent of r_c, so each a-column is a step in r_c:
-scan_region finds one r_c threshold per column and fills the grid from it.
-A scalar path (classify_point) runs the same pipeline through the model-core
+scan_region finds one r_c threshold per column and returns the grid as those
+thresholds plus each column's verdict past them, in memory proportional to
+r_c_steps + a_steps; ScanGrid.verdicts builds the dense grid on request. A
+scalar path (classify_point) runs the same pipeline through the model-core
 and stability modules and stays the cross-check oracle in tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -33,9 +36,19 @@ class Verdict(IntEnum):
 
 @dataclass(frozen=True)
 class ScanGrid:
+    """Verdicts of a (r_c, a) grid, one step per a-column: column k is
+    ODE_UNSTABLE in its first ``steps[k]`` rows and ``above[k]`` below them."""
+
     r_c_axis: np.ndarray
     a_axis: np.ndarray
-    verdicts: np.ndarray  # int8, shape (len(r_c_axis), len(a_axis)), Verdict codes
+    steps: np.ndarray  # int, per a-column, 0 <= steps <= len(r_c_axis)
+    above: np.ndarray  # int8 Verdict code per a-column
+
+    @functools.cached_property
+    def verdicts(self) -> np.ndarray:
+        """The dense int8 grid, shape (len(r_c_axis), len(a_axis))."""
+        rows = np.arange(self.r_c_axis.size)[:, None]
+        return np.where(rows < self.steps, np.int8(Verdict.ODE_UNSTABLE), self.above)
 
 
 def classify_point(base: ModelParams, r_c: float, a: float, theta: float = DEFAULT_THETA) -> Verdict:
@@ -95,9 +108,7 @@ def scan_region(
     steps = np.where(feasible, np.searchsorted(r_c, value, side="right"), 0)
     above = np.where(value > 0.0, Verdict.TURING, Verdict.STABLE_ONLY).astype(np.int8)
     above[~feasible] = Verdict.INFEASIBLE
-    rows = np.arange(resolution[0])[:, None]
-    verdicts = np.where(rows < steps, np.int8(Verdict.ODE_UNSTABLE), above)
-    return ScanGrid(r_c_axis=r_c, a_axis=a, verdicts=verdicts)
+    return ScanGrid(r_c_axis=r_c, a_axis=a, steps=steps, above=above)
 
 
 def turing_window(base: ModelParams, r_c: float, a_values: np.ndarray, theta: float = DEFAULT_THETA):

@@ -166,7 +166,7 @@ class _Integrator:
         _check_dt(p, dt)
         self.p = p
         self.dt = dt
-        self.s = p.s_b / p.b_i
+        self.s = _scaled_saturation(p)
         self.solve = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
         self.work = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
 
@@ -192,6 +192,15 @@ def _check_dt(p: ModelParams, dt: float) -> None:
         raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
 
 
+def _scaled_saturation(p: ModelParams) -> float:
+    """``s = s_b/b_i``; ParameterError unless it is positive. An ``s`` that
+    underflows to 0 makes the predation term 0/0 wherever beta is 0."""
+    s = p.s_b / p.b_i
+    if not s > 0.0:
+        raise ParameterError(f"s_b/b_i must be positive, got {p.s_b!r}/{p.b_i!r} = {s!r}")
+    return s
+
+
 def _diffusion_numbers(p: ModelParams, dom: Domain1D, dt: float) -> tuple[float, float]:
     """``dt*d/dx^2`` of both fields; ParameterError unless both are positive
     and finite, as they are not when dx^2 overflows or underflows."""
@@ -210,6 +219,7 @@ def _diffusion_numbers(p: ModelParams, dom: Domain1D, dt: float) -> tuple[float,
 def check_run(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> None:
     """Raise ParameterError if :func:`simulate` would reject these inputs."""
     _check_dt(p, cfg.dt)
+    _scaled_saturation(p)
     _diffusion_numbers(p, dom, cfg.dt)
     initial_state(p, dom, cfg)
 

@@ -195,6 +195,7 @@ class TestSubcommands:
         ("dispersion", "f_e = 1e300"),
         ("dispersion", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "d_b = 1e300\nd_c = 1e300"),
+        ("simulate", "s_b = 5e-324"),
     ])
     def test_float_extremes_fail_with_one_error_line(self, tmp_path, capsys, subcommand, config):
         cfg, out = tmp_path / "cfg", tmp_path / "out"
@@ -228,30 +229,31 @@ def scan_csv_reference(grid: ScanGrid) -> str:
 
 class TestWritersMatchReference:
     def test_scan_csv_every_code(self, tmp_path):
-        # first column all INFEASIBLE; axis values that repr spells out in full
-        codes = np.array([[-1, 0, 1, 2], [-1, 2, 1, 0], [-1, 1, 1, 1], [-1, 2, 2, 2]], dtype=np.int8)
+        # thresholds at 0 (first column INFEASIBLE throughout) and at n_rows;
+        # axis values that repr spells out in full
         grid = ScanGrid(r_c_axis=np.array([1e-3, 0.1 + 0.2, 5e-324, 1e16]),
-                        a_axis=np.array([0.05, 1.0 / 3.0, 0.7, 1.0]), verdicts=codes)
+                        a_axis=np.array([0.05, 1.0 / 3.0, 0.7, 1.0]),
+                        steps=np.array([0, 1, 2, 4]), above=np.array([-1, 2, 1, 2], dtype=np.int8))
+        assert set(np.unique(grid.verdicts).tolist()) == {int(v) for v in Verdict}
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
 
-    @pytest.mark.parametrize("codes", [
+    @pytest.mark.parametrize("n_rows, steps, above", [
         # consecutive equal rows, then a change, then equal again
-        [[2, 2, 1], [2, 2, 1], [2, 2, 1], [0, 2, 1], [0, 2, 1]],
-        # a row equal to an earlier, non-adjacent row
-        [[0, 1, 2], [2, 1, 0], [0, 1, 2], [2, 1, 0]],
+        (5, [3, 0, 0], [2, 2, 1]),
+        # many columns sharing a few thresholds, in no order
+        (9, [4, 0, 7, 4, 4, 7, 0, 4] * 6, [2, -1, 1, 2, 1, 2, 1, 2] * 6),
         # rows that differ from the row above only in their last cell
-        [[1, 2, 0, 2], [1, 2, 0, 1], [1, 2, 0, -1], [1, 2, 0, -1]],
+        (4, [0, 0, 0, 2], [1, 2, 2, 1]),
         # one row only
-        [[0, 2, -1, 1, 2]],
-        # an all-INFEASIBLE row between others, and one at the end
-        [[-1, 2, 1], [-1, -1, -1], [0, 2, -1], [-1, -1, -1]],
-    ], ids=["repeats", "non-adjacent", "last-cell", "one-row", "all-infeasible"])
-    def test_scan_csv_row_reuse(self, tmp_path, codes):
-        verdicts = np.array(codes, dtype=np.int8)
-        n_rows, n_cols = verdicts.shape
+        (1, [1, 0, 0, 1, 1], [2, 2, -1, 1, 2]),
+        # every cell INFEASIBLE
+        (4, [0, 0, 0], [-1, -1, -1]),
+    ], ids=["repeats", "equal-thresholds", "last-cell", "one-row", "all-infeasible"])
+    def test_scan_csv_row_reuse(self, tmp_path, n_rows, steps, above):
         grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, n_rows),
-                        a_axis=np.linspace(0.05, 1.0, n_cols), verdicts=verdicts)
+                        a_axis=np.linspace(0.05, 1.0, len(steps)),
+                        steps=np.array(steps), above=np.array(above, dtype=np.int8))
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
 
@@ -270,6 +272,24 @@ class TestWritersMatchReference:
         grid = scan_region(run_cfg.params(), (run_cfg.r_c_min, run_cfg.r_c_max),
                            (run_cfg.a_min, run_cfg.a_max), (300, 300), theta=run_cfg.theta_target)
         assert (tmp_path / "out" / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    @pytest.mark.parametrize("config, codes", [
+        ("r_c_steps = 23\na_steps = 41\nr_c_min = 1e-4\nr_c_max = 0.3\na_min = 0.01\na_max = 3.0\n",
+         {-1, 0, 1, 2}),
+        ("r_c_steps = 7\na_steps = 9\na_min = 1e-3\na_max = 0.2\n", {Verdict.INFEASIBLE}),
+        ("r_c_steps = 7\na_steps = 9\nr_c_min = 0.02\nr_c_max = 0.05\na_min = 0.28\na_max = 0.4\n",
+         {Verdict.TURING}),
+    ], ids=["every-code", "all-infeasible", "all-turing"])
+    def test_scan_turing_cells(self, tmp_path, capsys, config, codes):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run_cfg = parse_config(config)
+        grid = scan_region(run_cfg.params(), (run_cfg.r_c_min, run_cfg.r_c_max),
+                           (run_cfg.a_min, run_cfg.a_max), (run_cfg.r_c_steps, run_cfg.a_steps))
+        assert set(np.unique(grid.verdicts).tolist()) == codes
+        turing = np.count_nonzero(grid.verdicts == Verdict.TURING)
+        assert capsys.readouterr().out == f"turing_cells = {turing}\n"
 
     def test_snapshot(self, tmp_path, rng):
         # domains A, B, A, then C (A's n_points, another length): a row
@@ -356,7 +376,7 @@ print(code, "scipy" in sys.modules)
     ("simulate", SMALL_SIM, True),
 ])
 def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy):
-    # scipy's import costs ~0.3 s; only the diffusion solve needs it
+    # importing scipy's dpttrf costs 0.2-0.3 s and ~29 MB of RSS; only the diffusion solve needs it
     cfg = tmp_path / "cfg"
     cfg.write_text(config)
     src = str(Path(gutpatterns.__file__).resolve().parent.parent)

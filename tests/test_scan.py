@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gutpatterns import ParameterError, Verdict, classify_point, scan_region
+from gutpatterns.cli import write_scan_csv
 from gutpatterns.params import DEFAULT_THETA
 from gutpatterns.scan import F_B_COUPLING, turing_window
 
@@ -101,6 +104,17 @@ class TestScanRegion:
         coarse = scan_region(p_table1, (1e-3, 5e-2), (5e-2, 1.0), (11, 11))
         fine = scan_region(p_table1, (1e-3, 5e-2), (5e-2, 1.0), (21, 21))
         np.testing.assert_array_equal(coarse.verdicts, fine.verdicts[::2, ::2])
+
+    def test_scan_and_csv_memory_is_per_axis(self, p_table1, tmp_path):
+        # a dense int8 grid of 4000x3000 alone is 12 MB; tracemalloc sees numpy's buffers
+        tracemalloc.start()
+        try:
+            grid = scan_region(p_table1, *CANONICAL_RECT, (4000, 3000))
+            write_scan_csv(grid, tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_bad_ranges(self, p_table1):
         with pytest.raises(ParameterError):
