@@ -9,15 +9,17 @@ configuration; feeding the manifest back as the config reproduces the run
 byte for byte. A run rejected at validation (exit 1) writes nothing.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
-violation.
+violation or an output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, Verdict, scan_region
-from .solver import Domain1D, FieldState, SimConfig, check_run, simulate
+from .solver import Domain1D, FieldState, SimConfig, check_run, simulate, snapshot_times
 from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify, unstable_band
 
 
@@ -144,7 +146,20 @@ def _start_outputs(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.fe_calibrated:
         lines.append("# f_e was calibrated from theta_target")
     lines += [f"{key} = {_fmt(getattr(cfg, key))}" for key in DEFAULTS if getattr(cfg, key) is not None]
-    (out_dir / "manifest").write_text("\n".join(lines) + "\n")
+    with _create(out_dir / "manifest") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def _create(path: Path, mode: str = "w", **kwargs):
+    """Open ``path`` for writing. An OSError raised while it is open names
+    ``path``: one from a failed write, unlike one from open, names no file."""
+    try:
+        with path.open(mode, **kwargs) as f:
+            yield f
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def _write_columns(path: Path, header: str, rows: str, *columns: np.ndarray) -> None:
@@ -152,7 +167,7 @@ def _write_columns(path: Path, header: str, rows: str, *columns: np.ndarray) -> 
     fields filled in row order from equal-length float columns. ``%r`` of a
     Python float is its repr."""
     body = rows % tuple(np.column_stack(columns).ravel().tolist())
-    with path.open("w") as f:
+    with _create(path) as f:
         f.write(header + "\n")
         f.write(body)
 
@@ -174,6 +189,66 @@ def _snapshot_rows(dom: Domain1D) -> str:
 def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
     _write_columns(out_dir / _snapshot_name(state.time), "x,beta,gamma",
                    _snapshot_rows(dom), state.beta, state.gamma)
+
+
+def _check_snapshot_names(sim: SimConfig) -> None:
+    """ConfigError if two snapshots of the run would be written to one file."""
+    first_time = {}
+    for t in snapshot_times(sim):
+        name = _snapshot_name(t)
+        earlier = first_time.setdefault(name, t)
+        if earlier != t:
+            raise ConfigError(f"snapshots at t={_fmt(earlier)} and t={_fmt(t)} would both be written to {name}")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_in_helper(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
+    # write_snapshot is looked up when a helper runs this, so a forked helper
+    # calls whatever this module's write_snapshot was at the fork, even a
+    # wrapper, which, unlike this function, need not be picklable
+    write_snapshot(state, dom, out_dir)
+
+
+def _write_snapshots(snapshots: list[FieldState], dom: Domain1D, out_dir: Path) -> None:
+    """write_snapshot each state, spread over one process per usable CPU.
+
+    Formatting the floats dominates a snapshot's cost. With k usable CPUs
+    (at most one per snapshot) this process writes every k-th snapshot and
+    k - 1 forked helpers write the rest; every file's bytes come from
+    write_snapshot alone, so they do not depend on k. A helper's error is
+    raised here, after every helper has been joined. A helper only formats
+    and writes: it is forked after numpy's BLAS threads have started, so it
+    must not call BLAS or LAPACK.
+    """
+    k = min(_usable_cpus(), len(snapshots))
+    if k > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            k = 1
+    if k == 1:
+        for state in snapshots:
+            write_snapshot(state, dom, out_dir)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    _snapshot_rows(dom)  # fill the template once, for the helpers to inherit
+    pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        helped = [pool.submit(_write_in_helper, state, dom, out_dir)
+                  for i, state in enumerate(snapshots) if i % k]
+        for state in snapshots[::k]:
+            write_snapshot(state, dom, out_dir)
+        for future in helped:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
@@ -199,7 +274,7 @@ def write_scan_csv(grid: ScanGrid, path: Path) -> None:
     codes = np.full(grid.a_axis.size, Verdict.ODE_UNSTABLE, dtype=np.int8)
     bounds = sorted({0, n_rows, *thresholds.tolist()})
     r_c = grid.r_c_axis.tolist()
-    with path.open("wb", buffering=1 << 20) as f:
+    with _create(path, "wb", buffering=1 << 20) as f:
         f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
         passed = 0
         for start, stop in zip(bounds, bounds[1:]):
@@ -269,11 +344,12 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     dom, sim = cfg.domain(), cfg.sim_config()
     check_run(p, dom, sim)
     check_threshold(cfg.peak_threshold)
+    _check_snapshot_names(sim)
     _start_outputs(cfg, out_dir)
     snapshots = simulate(p, dom, sim)
+    _write_snapshots(snapshots, dom, out_dir)
     lines = ["t,beta_variance,gamma_variance,beta_max,peak_count"]
     for state in snapshots:
-        write_snapshot(state, dom, out_dir)
         lines.append(",".join(map(_fmt, snapshot_stats(state, dom, cfg.peak_threshold).values())))
     report = analyze_pattern(snapshots[-1], dom, band,
                              beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold)
@@ -285,10 +361,10 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
         "spatial_variance": report.spatial_variance,
     }
     lines += [f"# {key} = {_fmt(value)}" for key, value in report_kv.items()]
-    (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / "report.json").write_text(
-        json.dumps({k: _json_safe(v) for k, v in report_kv.items()}, indent=2) + "\n"
-    )
+    with _create(out_dir / "series.csv") as f:
+        f.write("\n".join(lines) + "\n")
+    with _create(out_dir / "report.json") as f:
+        f.write(json.dumps({k: _json_safe(v) for k, v in report_kv.items()}, indent=2) + "\n")
     print(f"snapshots = {len(snapshots)}")
     print(f"peak_count = {report.peak_count}")
     print(f"in_predicted_band = {str(report.in_predicted_band).lower()}")
@@ -331,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (InvariantError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
 
 

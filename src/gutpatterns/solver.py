@@ -224,6 +224,21 @@ def check_run(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> None:
     initial_state(p, dom, cfg)
 
 
+def _step_counts(cfg: SimConfig) -> tuple[int, int]:
+    """The run's number of steps and the steps between snapshots."""
+    return int(round(cfg.t_end / cfg.dt)), int(round(cfg.snapshot_every / cfg.dt))
+
+
+def snapshot_times(cfg: SimConfig) -> list[float]:
+    """The times of the states :func:`simulate` returns, in order: 0, each
+    multiple of snapshot_every, and t_end."""
+    n_steps, stride = _step_counts(cfg)
+    steps = [0, *range(stride, n_steps + 1, stride)]
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return [k * cfg.dt for k in steps]
+
+
 def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
     """Integrate to t_end, returning snapshots on the configured cadence.
 
@@ -234,8 +249,7 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
     state0 = initial_state(p, dom, cfg)
     b = state0.beta / p.b_i
     g = state0.gamma / p.b_i
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    stride = int(round(cfg.snapshot_every / cfg.dt))
+    n_steps, stride = _step_counts(cfg)
     snapshots = [state0]
     for k in range(1, n_steps + 1):
         t = k * cfg.dt

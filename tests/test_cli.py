@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gutpatterns
+import gutpatterns.cli as cli
 from gutpatterns import (
     Domain1D,
     FieldState,
@@ -206,6 +207,44 @@ class TestSubcommands:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
 
+    def test_snapshot_name_collision_rejected(self, tmp_path, capsys):
+        # every snapshot time lies within 1e-9 of 0, so each would be snap_t0.csv
+        cfg, out = tmp_path / "cfg", tmp_path / "out"
+        cfg.write_text("n_points = 64\nlength = 0.001\ndt = 1e-10\nt_end = 5e-10\nsnapshot_every = 1e-10\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "t=0.0" in err[0] and "t=1e-10" in err[0] and "snap_t0.csv" in err[0]
+        assert not out.exists()
+
+    # With two processes, snap_t0.csv is this process's to write and
+    # snap_t5.csv the helper's; /dev/full fails the write, not the open.
+    @pytest.mark.parametrize("subcommand, blocked, how", [
+        ("simulate", "snap_t0.csv", "dir"),
+        ("simulate", "snap_t5.csv", "dir"),
+        ("scan", "scan.csv", "dir"),
+        ("simulate", "snap_t5.csv", "full"),
+    ], ids=["parent-snapshot", "helper-snapshot", "scan-csv", "helper-write-fails"])
+    def test_unwritable_output_fails_with_one_error_line(self, tmp_path, capfd, monkeypatch,
+                                                         subcommand, blocked, how):
+        if how == "full" and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfg, out = tmp_path / "cfg", tmp_path / "out"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 5\n"
+                       "r_c_steps = 4\na_steps = 4\n")
+        out.mkdir()
+        if how == "dir":
+            (out / blocked).mkdir()
+        else:
+            (out / blocked).symlink_to("/dev/full")
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capfd.readouterr().err  # fd-level, so a helper's stderr shows too
+        assert "Traceback" not in err, err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and repr(str(out / blocked)) in lines[0], err
+        assert (out / "manifest").exists()
+
     def test_failed_step_keeps_manifest(self, tmp_path, capsys):
         # a small s_b makes the explicit killing term overshoot at t=1
         cfg = tmp_path / "cfg"
@@ -327,6 +366,33 @@ def read_outputs(out_dir: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
 
 
+@pytest.mark.parametrize("cpus, n_snapshots", [(1, 5), (2, 5), (3, 5), (3, 2)])
+def test_snapshot_files_do_not_depend_on_process_count(tmp_path, monkeypatch, rng, cpus, n_snapshots):
+    dom = Domain1D(length=0.011, n_points=19)
+    times = [0.0, 30.0, 0.1 + 0.2, 1440.5, 1e16][:n_snapshots]
+    states = [FieldState(time=t, beta=np.append(rng.uniform(0.0, 1e17, 18), 5e-324),
+                         gamma=np.append(rng.uniform(0.0, 1e16, 18), 1.0 / 3.0)) for t in times]
+    expected, out = tmp_path / "expected", tmp_path / "out"
+    expected.mkdir()
+    out.mkdir()
+    for state in states:
+        write_snapshot(state, dom, expected)
+    # a closure stands in for write_snapshot, as a timing wrapper would; it
+    # records only the calls made in this process
+    parent, in_this_process = os.getpid(), []
+
+    def recording(state, dom, out_dir):
+        if os.getpid() == parent:
+            in_this_process.append(state.time)
+        write_snapshot(state, dom, out_dir)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "write_snapshot", recording)
+    cli._write_snapshots(states, dom, out)
+    assert read_outputs(out) == read_outputs(expected)
+    assert in_this_process == times[::min(cpus, n_snapshots)]
+
+
 class TestReproducibility:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -359,12 +425,13 @@ class TestReproducibility:
         assert a != b
 
 
-# Runs one subcommand in a fresh interpreter and prints whether scipy was loaded.
+# Runs one subcommand in a fresh interpreter and prints whether scipy and the
+# process pool were loaded.
 _SCIPY_PROBE = """\
 import sys
 from gutpatterns.cli import main
 code = main(sys.argv[1:])
-print(code, "scipy" in sys.modules)
+print(code, "scipy" in sys.modules, "concurrent.futures.process" in sys.modules)
 """
 
 
@@ -376,7 +443,9 @@ print(code, "scipy" in sys.modules)
     ("simulate", SMALL_SIM, True),
 ])
 def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy):
-    # importing scipy's dpttrf costs 0.2-0.3 s and ~29 MB of RSS; only the diffusion solve needs it
+    # importing scipy's dpttrf costs 0.2-0.3 s and ~29 MB of RSS; only the diffusion solve needs it.
+    # The process pool (~21 ms to import) is loaded only to write a run's snapshots on several CPUs.
+    loads_pool = subcommand == "simulate" and cli._usable_cpus() > 1
     cfg = tmp_path / "cfg"
     cfg.write_text(config)
     src = str(Path(gutpatterns.__file__).resolve().parent.parent)
@@ -385,7 +454,7 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy
         [sys.executable, "-c", _SCIPY_PROBE, subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}", proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy} {loads_pool}", proc.stderr
 
 
 def test_runconfig_defaults_match_canonical_set():

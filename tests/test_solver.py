@@ -16,7 +16,7 @@ from gutpatterns import (
     simulate,
     steady_state,
 )
-from gutpatterns.solver import _check_and_clamp, _Integrator, max_stable_dt
+from gutpatterns.solver import _check_and_clamp, _Integrator, max_stable_dt, snapshot_times
 
 
 def advance_state(integrator, s):
@@ -132,6 +132,16 @@ class TestSimulate:
         cfg = SimConfig(t_end=500.0, dt=1.0, snapshot_every=200.0)
         snaps = simulate(p_table1, domain, cfg)
         assert [s.time for s in snaps] == [0.0, 200.0, 400.0, 500.0]
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(t_end=500.0, dt=1.0, snapshot_every=200.0),
+        SimConfig(t_end=3.0, dt=0.1, snapshot_every=0.7),
+        SimConfig(t_end=2.0, dt=0.5, snapshot_every=5.0),
+        SimConfig(t_end=4.0, dt=1.0, snapshot_every=1.0),
+    ])
+    def test_snapshot_times_are_simulated_times(self, p_table1, cfg):
+        snaps = simulate(p_table1, Domain1D(length=0.001, n_points=64), cfg)
+        assert snapshot_times(cfg) == [s.time for s in snaps]
 
     def test_snapshots_share_no_memory(self, p_table1, domain):
         # the integrator steps in reused work arrays; a snapshot must not be one
