@@ -41,7 +41,6 @@ from .stability import (
     jacobian,
     ode_stability,
     turing_classify,
-    unstable_band,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +81,5 @@ __all__ = [
     "steady_state",
     "table1_params",
     "turing_classify",
-    "unstable_band",
     "with_calibrated_fe",
 ]

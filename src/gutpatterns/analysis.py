@@ -8,6 +8,7 @@ linear-theory unstable band.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -23,10 +24,11 @@ PEAK_THRESHOLD = 0.1  # default peak cut, relative to max(beta)
 
 @dataclass(frozen=True)
 class PatternReport:
+    """Summary of one state; its fields are the CLI's ``report.json`` keys."""
+
     peak_count: int
-    peak_positions: list[float]
-    dominant_xi2: float            # 1/m^2, nan on the low-variance path
-    dominant_wavelength: float     # m, = 2*pi/sqrt(dominant_xi2)
+    dominant_xi2: float            # 1/m^2, nan when the field is pattern-free
+    dominant_wavelength_m: float   # m, = 2*pi/sqrt(dominant_xi2)
     in_predicted_band: bool
     spatial_variance: float        # (units/m^3)^2
 
@@ -34,8 +36,8 @@ class PatternReport:
     def patterned(self) -> bool:
         """True when the field shows a genuine multi-spot pattern.
 
-        Requires at least three peaks and a spectral result (fields on the
-        low-variance path never count as patterned).
+        Requires at least three peaks and a spectral result (pattern-free
+        fields never count as patterned).
         """
         return self.peak_count >= 3 and not math.isnan(self.dominant_xi2)
 
@@ -97,10 +99,6 @@ def dominant_wavelength(s: FieldState, dom: Domain1D) -> tuple[float, float]:
     return xi * xi, 2.0 * math.pi / xi
 
 
-def spatial_variance(values: np.ndarray) -> float:
-    return float(np.var(np.asarray(values, dtype=float)))
-
-
 def analyze_pattern(
     s: FieldState,
     dom: Domain1D,
@@ -111,43 +109,33 @@ def analyze_pattern(
     """Full pattern report for one state.
 
     ``band`` is the predicted unstable interval of squared wavenumbers (None
-    when linear theory predicts no instability). When the spatial variance is
-    below 1e-6 * beta_ref^2 the field counts as pattern-free: the spectral
-    step is skipped and ``in_predicted_band`` is False.
+    when linear theory predicts no instability). A field whose spatial
+    variance is below 1e-6 * beta_ref^2, or that is constant, is pattern-free:
+    its dominant xi^2 and wavelength are nan, so it is not in the band.
     """
-    variance = spatial_variance(s.beta)
-    count, positions = detect_peaks(s, dom, rel_threshold)
+    variance = float(np.var(s.beta))
+    count, _ = detect_peaks(s, dom, rel_threshold)
+    xi2 = wavelength = math.nan
     low_variance = beta_ref is not None and variance < LOW_VARIANCE_FACTOR * beta_ref**2
-    b = np.asarray(s.beta, dtype=float)
-    constant = b.max() - b.min() <= CONSTANT_FIELD_RTOL * max(np.abs(b).max(), 1.0)
-    if low_variance or constant:
-        return PatternReport(
-            peak_count=count,
-            peak_positions=positions,
-            dominant_xi2=math.nan,
-            dominant_wavelength=math.nan,
-            in_predicted_band=False,
-            spatial_variance=variance,
-        )
-    xi2, wavelength = dominant_wavelength(s, dom)
-    in_band = band is not None and band[0] < xi2 < band[1]
+    if not low_variance:
+        with contextlib.suppress(DegenerateSpectrumError):
+            xi2, wavelength = dominant_wavelength(s, dom)
     return PatternReport(
         peak_count=count,
-        peak_positions=positions,
         dominant_xi2=xi2,
-        dominant_wavelength=wavelength,
-        in_predicted_band=in_band,
+        dominant_wavelength_m=wavelength,
+        in_predicted_band=band is not None and band[0] < xi2 < band[1],  # False for nan
         spatial_variance=variance,
     )
 
 
 def snapshot_stats(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD) -> dict:
-    """Per-snapshot row for the time-series output."""
+    """Per-snapshot row; its keys are the CLI's ``series.csv`` columns."""
     count, _ = detect_peaks(s, dom, rel_threshold)
     return {
         "t": s.time,
-        "beta_variance": spatial_variance(s.beta),
-        "gamma_variance": spatial_variance(s.gamma),
+        "beta_variance": float(np.var(s.beta)),
+        "gamma_variance": float(np.var(s.gamma)),
         "beta_max": float(np.max(s.beta)),
         "peak_count": count,
     }

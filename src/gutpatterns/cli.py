@@ -9,7 +9,8 @@ configuration; feeding the manifest back as the config reproduces the run
 byte for byte. A run rejected at validation (exit 1) writes nothing.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
-violation or an output that could not be written.
+violation, an output that could not be written or memory that could not be
+allocated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +32,13 @@ from .errors import (
     CalibrationError,
     ConfigError,
     ConsistencyError,
-    DegenerateSpectrumError,
     InvariantError,
     ParameterError,
 )
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, Verdict, scan_region
 from .solver import Domain1D, FieldState, SimConfig, check_run, simulate, snapshot_times
-from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify, unstable_band
+from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify
 
 
 # Every config key with its default, in manifest order. A key's type is that
@@ -294,6 +294,12 @@ def _json_safe(value):
     return value
 
 
+def _print_values(**values) -> None:
+    """Print one ``key = value`` line per value, a bool as true or false."""
+    for key, value in values.items():
+        print(f"{key} = {str(value).lower() if isinstance(value, bool) else _fmt(value)}")
+
+
 # Each handler below runs everything that can reject the config before it
 # calls _start_outputs, so a run that exits 1 leaves no files; a simulate run
 # that fails while stepping keeps its manifest.
@@ -308,20 +314,13 @@ def _linearised(cfg: RunConfig):
 def _steady(cfg: RunConfig, out_dir: Path) -> None:
     eq = steady_state(cfg.params())
     _start_outputs(cfg, out_dir)
-    print(f"beta_bar = {_fmt(eq.beta_bar)}")
-    print(f"gamma_bar = {_fmt(eq.gamma_bar)}")
-    print(f"theta = {_fmt(eq.theta)}")
+    _print_values(**asdict(eq))
 
 
 def _stability(cfg: RunConfig, out_dir: Path) -> None:
     p, eq, j = _linearised(cfg)
     _start_outputs(cfg, out_dir)
-    verdict = turing_classify(p, eq, j)
-    print(f"trace = {_fmt(verdict.trace)}")
-    print(f"det = {_fmt(verdict.det)}")
-    print(f"ode_stable = {str(verdict.ode_stable).lower()}")
-    print(f"turing_condition_value = {_fmt(verdict.turing_condition_value)}")
-    print(f"turing = {str(verdict.turing).lower()}")
+    _print_values(**asdict(turing_classify(p, eq, j)))
 
 
 def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
@@ -330,17 +329,15 @@ def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
     _start_outputs(cfg, out_dir)
     _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
                    "%r,%r\n" * curve.xi2_samples.size, curve.xi2_samples, curve.growth_rates)
-    band = unstable_band(curve)
-    if band is None:
-        print("unstable_band = empty")
+    if curve.band is None:
+        _print_values(unstable_band="empty")
     else:
-        print(f"lambda_minus = {_fmt(band[0])}")
-        print(f"lambda_plus = {_fmt(band[1])}")
+        _print_values(lambda_minus=curve.band[0], lambda_plus=curve.band[1])
 
 
 def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     p, eq, j = _linearised(cfg)
-    band = unstable_band(dispersion(p, j))
+    band = dispersion(p, j).band
     dom, sim = cfg.domain(), cfg.sim_config()
     check_run(p, dom, sim)
     check_threshold(cfg.peak_threshold)
@@ -348,26 +345,17 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     _start_outputs(cfg, out_dir)
     snapshots = simulate(p, dom, sim)
     _write_snapshots(snapshots, dom, out_dir)
-    lines = ["t,beta_variance,gamma_variance,beta_max,peak_count"]
-    for state in snapshots:
-        lines.append(",".join(map(_fmt, snapshot_stats(state, dom, cfg.peak_threshold).values())))
-    report = analyze_pattern(snapshots[-1], dom, band,
-                             beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold)
-    report_kv = {
-        "peak_count": report.peak_count,
-        "dominant_xi2": report.dominant_xi2,
-        "dominant_wavelength_m": report.dominant_wavelength,
-        "in_predicted_band": report.in_predicted_band,
-        "spatial_variance": report.spatial_variance,
-    }
-    lines += [f"# {key} = {_fmt(value)}" for key, value in report_kv.items()]
+    rows = [snapshot_stats(state, dom, cfg.peak_threshold) for state in snapshots]
+    lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]
+    report = asdict(analyze_pattern(snapshots[-1], dom, band,
+                                    beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold))
+    lines += [f"# {key} = {_fmt(value)}" for key, value in report.items()]
     with _create(out_dir / "series.csv") as f:
         f.write("\n".join(lines) + "\n")
     with _create(out_dir / "report.json") as f:
-        f.write(json.dumps({k: _json_safe(v) for k, v in report_kv.items()}, indent=2) + "\n")
-    print(f"snapshots = {len(snapshots)}")
-    print(f"peak_count = {report.peak_count}")
-    print(f"in_predicted_band = {str(report.in_predicted_band).lower()}")
+        f.write(json.dumps({k: _json_safe(v) for k, v in report.items()}, indent=2) + "\n")
+    _print_values(snapshots=len(snapshots), peak_count=report["peak_count"],
+                  in_predicted_band=report["in_predicted_band"])
 
 
 def _scan(cfg: RunConfig, out_dir: Path) -> None:
@@ -377,7 +365,7 @@ def _scan(cfg: RunConfig, out_dir: Path) -> None:
     write_scan_csv(grid, out_dir / "scan.csv")
     # a TURING column is TURING below its threshold, in n_rows - steps cells
     turing_steps = grid.steps[grid.above == Verdict.TURING]
-    print(f"turing_cells = {int((grid.r_c_axis.size - turing_steps).sum())}")
+    _print_values(turing_cells=int((grid.r_c_axis.size - turing_steps).sum()))
 
 
 _HANDLERS = {"steady": _steady, "stability": _stability, "dispersion": _dispersion,
@@ -402,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         _HANDLERS[args.subcommand](cfg, args.out)
         return 0
-    except (ConfigError, ParameterError, CalibrationError, DegenerateSpectrumError) as exc:
+    except (ConfigError, ParameterError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvariantError, ConsistencyError) as exc:
@@ -410,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ clamped, anything larger raises InvariantError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class SimConfig:
             raise ParameterError(f"t_end must be a multiple of dt, got {self.t_end!r}")
         if not (self.snapshot_every >= self.dt and _is_multiple(self.snapshot_every, self.dt)):
             raise ParameterError(f"snapshot_every must be a positive multiple of dt, got {self.snapshot_every!r}")
+        # snapshot_times lists the snapshots, and a list holds at most sys.maxsize items
+        snapshots = self.t_end / self.snapshot_every
+        if snapshots >= sys.maxsize - 2:
+            raise ParameterError(f"t_end/snapshot_every = {snapshots!r}: too many snapshots to list")
         if self.ic not in ("spot", "perturbation"):
             raise ParameterError(f"unknown initial condition {self.ic!r}")
         if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:

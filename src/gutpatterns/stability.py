@@ -6,7 +6,9 @@ grows at the largest root of lambda^2 + a1*lambda + a2 = 0 with
     a1 = -tr(M) + (d_b + d_c) * xi^2
     a2 = det(M) - (M11*d_c + M22*d_b) * xi^2 + d_b*d_c * xi^4
 
-so the unstable wavenumber band is exactly the interval where a2 < 0.
+so the unstable wavenumber band is exactly the interval where a2 < 0. A band
+is a ``(lambda_minus, lambda_plus)`` pair of squared wavenumbers in 1/m^2;
+None stands for an empty band.
 """
 
 from __future__ import annotations
@@ -43,26 +45,20 @@ class Jacobian2x2:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """ODE stability and Turing classification at the equilibrium.
-
-    ``turing_condition_value`` and ``turing`` stay None until
-    :func:`turing_classify` fills them in.
-    """
+    """ODE stability and Turing classification at the equilibrium."""
 
     trace: float
     det: float
     ode_stable: bool
-    turing_condition_value: float | None = None
-    turing: bool | None = None
+    turing_condition_value: float
+    turing: bool
 
 
 @dataclass(frozen=True)
 class DispersionCurve:
     xi2_samples: np.ndarray    # squared wavenumbers, 1/m^2
     growth_rates: np.ndarray   # largest real part of the two roots, 1/min
-    lambda_minus: float        # band endpoints, nan when band_nonempty is False
-    lambda_plus: float
-    band_nonempty: bool
+    band: tuple[float, float] | None  # (lambda_minus, lambda_plus), None when empty
 
 
 def jacobian(p: ModelParams, eq: Equilibrium) -> Jacobian2x2:
@@ -81,56 +77,50 @@ def jacobian(p: ModelParams, eq: Equilibrium) -> Jacobian2x2:
     return Jacobian2x2(m11=m11, m12=m12, m21=p.f_b, m22=-p.r_c)
 
 
-def ode_stability(j: Jacobian2x2) -> StabilityVerdict:
+def ode_stability(j: Jacobian2x2) -> bool:
     """Stability of the space-free kinetics: stable iff trace < 0 (strict).
 
     det(M) > 0 is guaranteed for valid parameters; det <= 0 therefore raises
     ConsistencyError.
     """
-    det = j.det
-    if det <= 0.0:
-        raise ConsistencyError(f"det(M) = {det!r} <= 0 contradicts the positivity guarantee")
-    return StabilityVerdict(trace=j.trace, det=det, ode_stable=j.trace < 0.0)
-
-
-def turing_condition_value(p: ModelParams, eq: Equilibrium) -> float:
-    """Left side of the Turing double inequality 0 < value < r_c."""
-    kappa = p.kappa
-    beta = eq.beta_bar
-    return p.a * kappa * beta**2 / (p.s_b + beta) ** 2 - p.r_b * eq.theta - p.f_e * kappa
+    if j.det <= 0.0:
+        raise ConsistencyError(f"det(M) = {j.det!r} <= 0 contradicts the positivity guarantee")
+    return j.trace < 0.0
 
 
 def turing_classify(p: ModelParams, eq: Equilibrium, j: Jacobian2x2) -> StabilityVerdict:
     """Full classification: ODE stability plus the diffusion-driven instability test.
 
-    At equilibrium the condition value coincides with M11 (substituting the
-    steady-state relation into the M11 formula); disagreement beyond 1e-9
-    relative raises ConsistencyError.
+    The Turing condition is 0 < value < r_c. At equilibrium the condition
+    value coincides with M11 (substituting the steady-state relation into the
+    M11 formula); disagreement beyond 1e-9 relative raises ConsistencyError.
     """
-    base = ode_stability(j)
-    value = turing_condition_value(p, eq)
+    ode_stable = ode_stability(j)
+    kappa = p.kappa
+    beta = eq.beta_bar
+    value = p.a * kappa * beta**2 / (p.s_b + beta) ** 2 - p.r_b * eq.theta - p.f_e * kappa
     scale = max(abs(value), abs(j.m11), 1e-300)
     if abs(value - j.m11) > REL_TOL_IDENTITY * scale:
         raise ConsistencyError(
             f"Turing condition value {value!r} != M11 {j.m11!r}; equilibrium inconsistent"
         )
-    turing = 0.0 < value < p.r_c  # strict at both boundaries
     return StabilityVerdict(
-        trace=base.trace,
-        det=base.det,
-        ode_stable=base.ode_stable,
+        trace=j.trace,
+        det=j.det,
+        ode_stable=ode_stable,
         turing_condition_value=value,
-        turing=turing,
+        turing=0.0 < value < p.r_c,  # strict at both boundaries
     )
 
 
-def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float, bool]:
+def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float] | None:
     """Roots of a2(xi^2) = 0, the endpoints of the unstable band.
 
     Cancellation-safe: the larger-magnitude root comes from the quadratic
     formula with the matching sign, the other from the product of roots.
-    Returns (nan, nan, False) when a2 never becomes negative; raises
-    ParameterError when d_b*d_c is not a positive finite float.
+    Returns (lambda_minus, lambda_plus), or None when a2 never becomes
+    negative; raises ParameterError when d_b*d_c or an edge is not a
+    positive finite float.
     """
     A = p.d_b * p.d_c
     if not 0.0 < A < math.inf:
@@ -140,15 +130,17 @@ def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float, bool]:
     disc = B * B - 4.0 * A * C
     if disc <= 0.0 or B >= 0.0:
         # Complex roots, or both real roots non-positive: a2 > 0 for xi^2 > 0.
-        return math.nan, math.nan, False
+        return None
     q = -0.5 * (B - math.sqrt(disc))  # B < 0 here
     lam_plus = q / A
     lam_minus = C / q
     if lam_minus > lam_plus:
         lam_minus, lam_plus = lam_plus, lam_minus
     if lam_plus <= 0.0:
-        return math.nan, math.nan, False
-    return lam_minus, lam_plus, True
+        return None
+    if not (math.isfinite(lam_minus) and math.isfinite(lam_plus)):
+        raise ParameterError(f"unstable band edges must be finite, got ({lam_minus!r}, {lam_plus!r})")
+    return lam_minus, lam_plus
 
 
 def growth_rate(p: ModelParams, j: Jacobian2x2, xi2):
@@ -181,15 +173,14 @@ def dispersion(
     """
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples}")
-    lam_minus, lam_plus, nonempty = band_edges(p, j)
-    if nonempty and not (math.isfinite(lam_minus) and math.isfinite(lam_plus)):
-        raise ParameterError(f"unstable band edges must be finite, got ({lam_minus!r}, {lam_plus!r})")
+    band = band_edges(p, j)
     if xi2_max is not None:
         if not (math.isfinite(xi2_max) and xi2_max > 0.0):
             raise ParameterError(f"xi2_max must be positive and finite, got {xi2_max!r}")
         xi2 = np.linspace(0.0, xi2_max, samples)
     else:
-        if nonempty:
+        if band is not None:
+            lam_minus, lam_plus = band
             lo = max(lam_minus, 0.0)
             lo = lo / 100.0 if lo > 0.0 else lam_plus * 1e-6
             hi = lam_plus * 100.0
@@ -203,17 +194,4 @@ def dispersion(
         rates = growth_rate(p, j, xi2)
     if not np.isfinite(rates).all():
         raise ParameterError("growth rates are not finite over the sampled wavenumbers")
-    return DispersionCurve(
-        xi2_samples=xi2,
-        growth_rates=rates,
-        lambda_minus=lam_minus,
-        lambda_plus=lam_plus,
-        band_nonempty=nonempty,
-    )
-
-
-def unstable_band(curve: DispersionCurve) -> tuple[float, float] | None:
-    """(lambda_minus, lambda_plus) when the band is non-empty, else None."""
-    if not curve.band_nonempty:
-        return None
-    return curve.lambda_minus, curve.lambda_plus
+    return DispersionCurve(xi2_samples=xi2, growth_rates=rates, band=band)

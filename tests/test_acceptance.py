@@ -88,8 +88,7 @@ def test_criterion_4_randomized_identity():
 
 
 def test_criterion_5_dispersion_band(p_table1, jac_table1):
-    lam_minus, lam_plus, nonempty = band_edges(p_table1, jac_table1)
-    assert nonempty
+    lam_minus, lam_plus = band_edges(p_table1, jac_table1)
     assert lam_minus == pytest.approx(2.70e8, rel=0.01)
     assert lam_plus == pytest.approx(1.03e11, rel=0.01)
     oracle_minus = bisect_a2_root(p_table1, jac_table1, 1.0, math.sqrt(lam_minus * lam_plus))
@@ -105,7 +104,7 @@ def test_criterion_5_dispersion_band(p_table1, jac_table1):
 def test_criterion_6_pattern_formation(p_table1, jac_table1, fig2_run):
     snaps, elapsed = fig2_run
     assert elapsed < 60.0
-    lam_minus, lam_plus, _ = band_edges(p_table1, jac_table1)
+    lam_minus, lam_plus = band_edges(p_table1, jac_table1)
     eq = steady_state(p_table1)
     report = analyze_pattern(snaps[-1], DOM, (lam_minus, lam_plus), beta_ref=eq.beta_bar)
     assert report.peak_count >= 3

@@ -154,7 +154,7 @@ class TestAnalyzePattern:
         assert report.peak_count == 10
         assert report.in_predicted_band
         assert report.patterned
-        assert report.dominant_wavelength == pytest.approx(0.1, rel=1e-6)
+        assert report.dominant_wavelength_m == pytest.approx(0.1, rel=1e-6)
 
     def test_low_variance_path(self):
         dom = Domain1D(length=1.0, n_points=1024)

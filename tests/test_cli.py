@@ -197,6 +197,7 @@ class TestSubcommands:
         ("dispersion", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "s_b = 5e-324"),
+        ("simulate", "t_end = 1e300"),
     ])
     def test_float_extremes_fail_with_one_error_line(self, tmp_path, capsys, subcommand, config):
         cfg, out = tmp_path / "cfg", tmp_path / "out"
@@ -244,6 +245,23 @@ class TestSubcommands:
         lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(lines) == 1 and repr(str(out / blocked)) in lines[0], err
         assert (out / "manifest").exists()
+
+    # A config such as n_points = 1e12 asks numpy for terabytes; whether that
+    # allocation fails depends on the machine's overcommit policy, so the
+    # handler's callee raises MemoryError here instead.
+    @pytest.mark.parametrize("subcommand, callee", [
+        ("simulate", "simulate"), ("scan", "scan_region"), ("dispersion", "dispersion"),
+    ])
+    def test_memory_error_fails_with_one_error_line(self, tmp_path, capsys, monkeypatch, subcommand, callee):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(cli, callee, fail)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 5\n")
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "7.28 TiB" in err[0], err
 
     def test_failed_step_keeps_manifest(self, tmp_path, capsys):
         # a small s_b makes the explicit killing term overshoot at t=1
@@ -457,6 +475,18 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy} {loads_pool}", proc.stderr
 
 
+# perfbench/child.py times a traced benchmark run by replacing functions in
+# gutpatterns.cli, .kernels and .analysis by name, so renaming or removing one
+# of them breaks the benchmark. A fresh interpreter keeps the replacements out
+# of this process.
+def test_benchmark_tracer_finds_every_wrapped_name():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    probe = "import gutpatterns.cli as cli\nfrom child import install_timers\ninstall_timers(cli)\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_runconfig_defaults_match_canonical_set():
     cfg = RunConfig()
     assert (cfg.r_c, cfg.a, cfg.s_b) == (0.02, 0.3129, 1e15)
@@ -477,8 +507,8 @@ a_steps = 4
 PROPERTY_KEYS = ("seed", "xi2_max", "xi2_samples", "t_end", "dt", "snapshot_every",
                  "noise_rel", "spot_amplitude", "background", "theta_target", "peak_threshold",
                  "r_c_min", "r_c_max", "a_min", "a_max", "r_c_steps", "a_steps")
-# Valid but unbounded values (t_end = 1e308, dt = 1e-300) are left out: they
-# would run ~1e308 steps.
+# Valid but unbounded values are left out: dt = 1e-300 would run ~4e300
+# steps. (t_end = 1e308 is rejected: 5e307 snapshots are too many to list.)
 PROPERTY_VALUES = ("-1", "0", "2.5", "3", "inf", "-inf", "nan")
 
 

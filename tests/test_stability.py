@@ -15,7 +15,6 @@ from gutpatterns import (
     ode_stability,
     steady_state,
     turing_classify,
-    unstable_band,
     with_calibrated_fe,
 )
 from tests.test_params import random_params
@@ -57,20 +56,19 @@ class TestJacobian:
 
 class TestOdeStability:
     def test_table1_stable(self, jac_table1):
-        v = ode_stability(jac_table1)
-        assert v.ode_stable
-        assert v.trace < 0
+        assert ode_stability(jac_table1)
+        assert jac_table1.trace < 0
 
     def test_large_rc_stable(self, p_table1):
         p = with_calibrated_fe(replace(p_table1, r_c=1.0, f_b=0.1), 0.3)
         eq = steady_state(p)
         j = jacobian(p, eq)
-        assert ode_stability(j).ode_stable
+        assert ode_stability(j)
 
     def test_zero_trace_not_stable(self):
         j = Jacobian2x2(m11=0.02, m12=-1.0, m21=0.002, m22=-0.02)
         assert j.trace == 0.0
-        assert not ode_stability(j).ode_stable
+        assert not ode_stability(j)
 
     def test_nonpositive_det_rejected(self):
         j = Jacobian2x2(m11=1.0, m12=0.0, m21=0.0, m22=-1.0)
@@ -118,8 +116,7 @@ class TestTuringClassify:
 
 class TestDispersion:
     def test_band_matches_sign_change_oracle(self, p_table1, jac_table1):
-        lam_minus, lam_plus, nonempty = band_edges(p_table1, jac_table1)
-        assert nonempty
+        lam_minus, lam_plus = band_edges(p_table1, jac_table1)
         oracle_minus = bisect_a2_root(p_table1, jac_table1, 1.0, math.sqrt(lam_minus * lam_plus))
         # a2 flips back to positive past the band: bisect on the reversed sign
         hi = lam_plus * 1e3
@@ -140,7 +137,7 @@ class TestDispersion:
         assert growth_rate(p_table1, j, 0.0) == pytest.approx(max(eig.real), abs=1e-12)
 
     def test_taylor_forms_agree(self, p_table1, jac_table1):
-        lam_minus, lam_plus, _ = band_edges(p_table1, jac_table1)
+        lam_minus, lam_plus = band_edges(p_table1, jac_table1)
         j = jac_table1
         taylor_minus = j.det / (p_table1.d_c * j.m11)
         taylor_plus = j.m11 / (p_table1.d_c * p_table1.delta)
@@ -149,9 +146,9 @@ class TestDispersion:
 
     def test_growth_sign_pattern(self, p_table1, jac_table1):
         curve = dispersion(p_table1, jac_table1)
-        band = unstable_band(curve)
-        assert band is not None
-        inside = (curve.xi2_samples > band[0]) & (curve.xi2_samples < band[1])
+        assert curve.band == band_edges(p_table1, jac_table1)
+        lam_minus, lam_plus = curve.band
+        inside = (curve.xi2_samples > lam_minus) & (curve.xi2_samples < lam_plus)
         assert np.all(curve.growth_rates[inside] > 0.0)
         # guard against round-off exactly at the edges
         a2 = a2_coefficient(p_table1, jac_table1, curve.xi2_samples[~inside])
@@ -161,20 +158,21 @@ class TestDispersion:
         p = replace(p_table1, d_b=p_table1.d_c)
         eq = steady_state(p)
         j = jacobian(p, eq)
-        assert unstable_band(dispersion(p, j)) is None
+        assert band_edges(p, j) is None
+        assert dispersion(p, j).band is None
 
     def test_no_predation_no_band(self, p_table1):
         p = replace(p_table1, a=0.0)
         eq = steady_state(p)
         j = jacobian(p, eq)
-        assert unstable_band(dispersion(p, j)) is None
+        assert band_edges(p, j) is None
+        assert dispersion(p, j).band is None
 
     def test_band_widens_as_delta_shrinks(self, p_table1, jac_table1):
         widths = []
         for factor in (1.0, 0.5, 0.25, 0.1, 0.01):
             p = replace(p_table1, d_b=p_table1.d_b * factor)
-            lam_minus, lam_plus, nonempty = band_edges(p, jac_table1)
-            assert nonempty
+            lam_minus, lam_plus = band_edges(p, jac_table1)
             widths.append(lam_plus - lam_minus)
         assert all(w2 >= w1 for w1, w2 in zip(widths, widths[1:]))
 
