@@ -215,40 +215,66 @@ def _write_in_helper(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
     write_snapshot(state, dom, out_dir)
 
 
-def _write_snapshots(snapshots: list[FieldState], dom: Domain1D, out_dir: Path) -> None:
-    """write_snapshot each state, spread over one process per usable CPU.
+class _SnapshotWriter:
+    """write_snapshot each state it is called with, spread over one process
+    per usable CPU, as a run makes them.
 
     Formatting the floats dominates a snapshot's cost. With k usable CPUs
-    (at most one per snapshot) this process writes every k-th snapshot and
-    k - 1 forked helpers write the rest; every file's bytes come from
-    write_snapshot alone, so they do not depend on k. A helper's error is
-    raised here, after every helper has been joined. A helper only formats
-    and writes: it is forked after numpy's BLAS threads have started, so it
-    must not call BLAS or LAPACK.
+    (at most one per snapshot), k - 1 forked helpers take a snapshot while
+    fewer than 2(k - 1) are in flight, and this process writes it otherwise,
+    so at most 2(k - 1) snapshots wait in the pool; with k = 1, or no fork
+    start method, this process writes every one. Every file's bytes come
+    from write_snapshot alone, so they do not depend on k. Closing waits for
+    every pending write, then raises the first helper error, unless an error
+    from the with-block is already propagating. A helper only formats and
+    writes: it is forked after numpy's BLAS threads have started, so it must
+    not call BLAS or LAPACK.
     """
-    k = min(_usable_cpus(), len(snapshots))
-    if k > 1:
-        import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            k = 1
-    if k == 1:
-        for state in snapshots:
-            write_snapshot(state, dom, out_dir)
-        return
-    from concurrent.futures import ProcessPoolExecutor
+    def __init__(self, dom: Domain1D, out_dir: Path, n_snapshots: int):
+        self.dom, self.out_dir = dom, out_dir
+        self.pool, self.in_flight, self.error = None, [], None
+        k = min(_usable_cpus(), n_snapshots)
+        if k > 1:
+            import multiprocessing
 
-    _snapshot_rows(dom)  # fill the template once, for the helpers to inherit
-    pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
-    try:
-        helped = [pool.submit(_write_in_helper, state, dom, out_dir)
-                  for i, state in enumerate(snapshots) if i % k]
-        for state in snapshots[::k]:
-            write_snapshot(state, dom, out_dir)
-        for future in helped:
-            future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            if "fork" not in multiprocessing.get_all_start_methods():
+                k = 1
+        self.depth = 2 * (k - 1)
+        if k > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            _snapshot_rows(dom)  # fill the template once, for the helpers to inherit
+            self.pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+
+    def __call__(self, state: FieldState) -> None:
+        if self.pool is not None:
+            self._collect()
+            if len(self.in_flight) < self.depth:
+                self.in_flight.append(self.pool.submit(_write_in_helper, state, self.dom, self.out_dir))
+                return
+        write_snapshot(state, self.dom, self.out_dir)
+
+    def _collect(self) -> None:
+        """Drop the finished writes from in_flight, keeping the first error."""
+        pending = []
+        for future in self.in_flight:
+            if not future.done():
+                pending.append(future)
+            elif self.error is None:
+                self.error = future.exception()
+        self.in_flight = pending
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pool is None:
+            return
+        self.pool.shutdown()  # waits for every pending write
+        self._collect()
+        if exc is None and self.error is not None:
+            raise self.error
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
@@ -302,7 +328,8 @@ def _print_values(**values) -> None:
 
 # Each handler below runs everything that can reject the config before it
 # calls _start_outputs, so a run that exits 1 leaves no files; a simulate run
-# that fails while stepping keeps its manifest.
+# that fails while stepping keeps its manifest and every snapshot made before
+# the failure, and writes no series.csv or report.json.
 
 
 def _linearised(cfg: RunConfig):
@@ -343,18 +370,22 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     check_threshold(cfg.peak_threshold)
     _check_snapshot_names(sim)
     _start_outputs(cfg, out_dir)
-    snapshots = simulate(p, dom, sim)
-    _write_snapshots(snapshots, dom, out_dir)
-    rows = [snapshot_stats(state, dom, cfg.peak_threshold) for state in snapshots]
+    rows = []
+    with _SnapshotWriter(dom, out_dir, len(snapshot_times(sim))) as write:
+        def emit(state: FieldState) -> None:
+            write(state)
+            rows.append(snapshot_stats(state, dom, cfg.peak_threshold))
+
+        final, = simulate(p, dom, sim, emit=emit)
     lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]
-    report = asdict(analyze_pattern(snapshots[-1], dom, band,
+    report = asdict(analyze_pattern(final, dom, band,
                                     beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold))
     lines += [f"# {key} = {_fmt(value)}" for key, value in report.items()]
     with _create(out_dir / "series.csv") as f:
         f.write("\n".join(lines) + "\n")
     with _create(out_dir / "report.json") as f:
         f.write(json.dumps({k: _json_safe(v) for k, v in report.items()}, indent=2) + "\n")
-    _print_values(snapshots=len(snapshots), peak_count=report["peak_count"],
+    _print_values(snapshots=len(rows), peak_count=report["peak_count"],
                   in_predicted_band=report["in_predicted_band"])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +81,14 @@ class SimConfig:
             raise ParameterError(f"t_end must be >= dt, got {self.t_end!r}")
         if not _is_multiple(self.t_end, self.dt):
             raise ParameterError(f"t_end must be a multiple of dt, got {self.t_end!r}")
+        # no run of ~sys.maxsize steps ends; since snapshot_every >= dt, this
+        # also keeps the snapshots, which snapshot_times lists, below the
+        # sys.maxsize items a list can hold
+        steps = self.t_end / self.dt
+        if steps >= sys.maxsize - 2:
+            raise ParameterError(f"t_end/dt = {steps!r}: too many steps")
         if not (self.snapshot_every >= self.dt and _is_multiple(self.snapshot_every, self.dt)):
             raise ParameterError(f"snapshot_every must be a positive multiple of dt, got {self.snapshot_every!r}")
-        # snapshot_times lists the snapshots, and a list holds at most sys.maxsize items
-        snapshots = self.t_end / self.snapshot_every
-        if snapshots >= sys.maxsize - 2:
-            raise ParameterError(f"t_end/snapshot_every = {snapshots!r}: too many snapshots to list")
         if self.ic not in ("spot", "perturbation"):
             raise ParameterError(f"unknown initial condition {self.ic!r}")
         if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:
@@ -100,8 +103,9 @@ class SimConfig:
 
 
 def _is_multiple(span: float, dt: float) -> bool:
+    """Whether span/dt lies within 1e-9 of an integer; false when it overflows."""
     ratio = span / dt
-    return abs(ratio - round(ratio)) <= 1e-9
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
 
 
 def max_stable_dt(p: ModelParams) -> float:
@@ -244,21 +248,29 @@ def snapshot_times(cfg: SimConfig) -> list[float]:
     return [k * cfg.dt for k in steps]
 
 
-def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> list[FieldState]:
+def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig,
+             emit: Callable[[FieldState], None] | None = None) -> list[FieldState]:
     """Integrate to t_end, returning snapshots on the configured cadence.
 
     The final state is always included. Step failures propagate with the
-    offending time attached.
+    offending time attached. With ``emit``, each snapshot is passed to
+    ``emit(state)`` as soon as it is made, in time order, and the returned
+    list holds only the final state, so the run keeps no snapshot. Every
+    snapshot owns its arrays, never the integrator's work arrays, so
+    ``emit`` may hold on to it or hand it to another thread.
     """
     integrator = _Integrator(p, dom, cfg.dt)
-    state0 = initial_state(p, dom, cfg)
-    b = state0.beta / p.b_i
-    g = state0.gamma / p.b_i
+    state = initial_state(p, dom, cfg)
+    b = state.beta / p.b_i
+    g = state.gamma / p.b_i
     n_steps, stride = _step_counts(cfg)
-    snapshots = [state0]
+    snapshots = []
+    keep = snapshots.append if emit is None else emit
+    keep(state)
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         b, g = integrator.advance(b, g, t)
         if k % stride == 0 or k == n_steps:
-            snapshots.append(FieldState(time=t, beta=b * p.b_i, gamma=g * p.b_i))
-    return snapshots
+            state = FieldState(time=t, beta=b * p.b_i, gamma=g * p.b_i)
+            keep(state)
+    return snapshots if emit is None else [state]

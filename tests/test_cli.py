@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from gutpatterns import (
     ScanGrid,
     Verdict,
     dispersion,
+    initial_state,
     jacobian,
     scan_region,
     steady_state,
@@ -198,6 +201,9 @@ class TestSubcommands:
         ("simulate", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "s_b = 5e-324"),
         ("simulate", "t_end = 1e300"),
+        ("simulate", "t_end = 1e300\nsnapshot_every = 1e300"),
+        ("simulate", "t_end = 1e308\ndt = 1e-300\nsnapshot_every = 1e308"),
+        ("simulate", "t_end = 10\ndt = 1e-10\nsnapshot_every = 1e308"),
     ])
     def test_float_extremes_fail_with_one_error_line(self, tmp_path, capsys, subcommand, config):
         cfg, out = tmp_path / "cfg", tmp_path / "out"
@@ -218,19 +224,20 @@ class TestSubcommands:
         assert "t=0.0" in err[0] and "t=1e-10" in err[0] and "snap_t0.csv" in err[0]
         assert not out.exists()
 
-    # With two processes, snap_t0.csv is this process's to write and
-    # snap_t5.csv the helper's; /dev/full fails the write, not the open.
-    @pytest.mark.parametrize("subcommand, blocked, how", [
-        ("simulate", "snap_t0.csv", "dir"),
-        ("simulate", "snap_t5.csv", "dir"),
-        ("scan", "scan.csv", "dir"),
-        ("simulate", "snap_t5.csv", "full"),
+    # With one CPU, this process writes every snapshot. With two, the helper
+    # takes snap_t0.csv and snap_t5.csv: the pool holds two writes, and these
+    # are the first two. /dev/full fails the write, not the open.
+    @pytest.mark.parametrize("subcommand, cpus, blocked, how", [
+        ("simulate", 1, "snap_t0.csv", "dir"),
+        ("simulate", 2, "snap_t5.csv", "dir"),
+        ("scan", 2, "scan.csv", "dir"),
+        ("simulate", 2, "snap_t5.csv", "full"),
     ], ids=["parent-snapshot", "helper-snapshot", "scan-csv", "helper-write-fails"])
     def test_unwritable_output_fails_with_one_error_line(self, tmp_path, capfd, monkeypatch,
-                                                         subcommand, blocked, how):
+                                                         subcommand, cpus, blocked, how):
         if how == "full" and not Path("/dev/full").exists():
             pytest.skip("no /dev/full")
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         cfg, out = tmp_path / "cfg", tmp_path / "out"
         cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 5\n"
                        "r_c_steps = 4\na_steps = 4\n")
@@ -265,13 +272,21 @@ class TestSubcommands:
 
     def test_failed_step_keeps_manifest(self, tmp_path, capsys):
         # a small s_b makes the explicit killing term overshoot at t=1
-        cfg = tmp_path / "cfg"
-        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 10\n"
-                       "ic = perturbation\nnoise_rel = 1\ns_b = 1e13\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        cfg, out, expected = tmp_path / "cfg", tmp_path / "out", tmp_path / "expected"
+        text = ("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 10\n"
+                "ic = perturbation\nnoise_rel = 1\ns_b = 1e13\n")
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "negativity" in err[0]
-        assert (tmp_path / "out" / "manifest").exists()
+        # the manifest and the snapshot made before the failure, nothing more
+        run_cfg = parse_config(text)
+        expected.mkdir()
+        write_snapshot(initial_state(run_cfg.params(), run_cfg.domain(), run_cfg.sim_config()),
+                       run_cfg.domain(), expected)
+        outputs = read_outputs(out)
+        assert sorted(outputs) == ["manifest", "snap_t0.csv"]
+        assert outputs["snap_t0.csv"] == (expected / "snap_t0.csv").read_bytes()
 
 
 def csv_reference(header: str, rows) -> str:
@@ -390,25 +405,41 @@ def test_snapshot_files_do_not_depend_on_process_count(tmp_path, monkeypatch, rn
     times = [0.0, 30.0, 0.1 + 0.2, 1440.5, 1e16][:n_snapshots]
     states = [FieldState(time=t, beta=np.append(rng.uniform(0.0, 1e17, 18), 5e-324),
                          gamma=np.append(rng.uniform(0.0, 1e16, 18), 1.0 / 3.0)) for t in times]
-    expected, out = tmp_path / "expected", tmp_path / "out"
+    expected, out, log = tmp_path / "expected", tmp_path / "out", tmp_path / "log"
     expected.mkdir()
     out.mkdir()
     for state in states:
         write_snapshot(state, dom, expected)
-    # a closure stands in for write_snapshot, as a timing wrapper would; it
-    # records only the calls made in this process
-    parent, in_this_process = os.getpid(), []
+    # a closure stands in for write_snapshot, as a timing wrapper would; every
+    # process appends each time it writes to one log, and a helper is slow, so
+    # the pool fills and this process writes the rest
+    parent = os.getpid()
 
     def recording(state, dom, out_dir):
-        if os.getpid() == parent:
-            in_this_process.append(state.time)
+        if os.getpid() != parent:
+            time.sleep(0.05)
         write_snapshot(state, dom, out_dir)
+        with open(log, "a") as f:
+            f.write(f"{state.time!r}\n")
 
+    # count, at each submit, the writes the pool has not yet finished
+    submitted, in_flight = [], []
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(self, *args, **kwargs):
+        submitted.append(real_submit(self, *args, **kwargs))
+        in_flight.append(sum(not future.done() for future in submitted))
+        return submitted[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "write_snapshot", recording)
-    cli._write_snapshots(states, dom, out)
+    with cli._SnapshotWriter(dom, out, n_snapshots) as write:
+        for state in states:
+            write(state)
     assert read_outputs(out) == read_outputs(expected)
-    assert in_this_process == times[::min(cpus, n_snapshots)]
+    assert sorted(log.read_text().splitlines()) == sorted(map(repr, times))
+    assert max(in_flight, default=0) <= 2 * (min(cpus, n_snapshots) - 1)
 
 
 class TestReproducibility:
@@ -507,8 +538,8 @@ a_steps = 4
 PROPERTY_KEYS = ("seed", "xi2_max", "xi2_samples", "t_end", "dt", "snapshot_every",
                  "noise_rel", "spot_amplitude", "background", "theta_target", "peak_threshold",
                  "r_c_min", "r_c_max", "a_min", "a_max", "r_c_steps", "a_steps")
-# Valid but unbounded values are left out: dt = 1e-300 would run ~4e300
-# steps. (t_end = 1e308 is rejected: 5e307 snapshots are too many to list.)
+# Values that make a valid run long are left out: dt = 1e-9 would run 4e9
+# steps. (dt = 1e-300 and t_end = 1e308 are rejected: too many steps.)
 PROPERTY_VALUES = ("-1", "0", "2.5", "3", "inf", "-inf", "nan")
 
 

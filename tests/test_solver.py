@@ -188,6 +188,26 @@ class TestSimulate:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
+    def test_emitted_snapshots_match_list(self, p_table1, domain):
+        # an emitted state that aliased a work array would change as the run
+        # went on, so each is compared with a copy taken when it was emitted
+        cfg = SimConfig(t_end=7.0, dt=1.0, snapshot_every=2.0, ic="perturbation", seed=3)
+        emitted, copies = [], []
+
+        def emit(state):
+            emitted.append(state)
+            copies.append((state.time, state.beta.copy(), state.gamma.copy()))
+
+        returned = simulate(p_table1, domain, cfg, emit=emit)
+        listed = simulate(p_table1, domain, cfg)
+        assert [s.time for s in listed] == [0.0, 2.0, 4.0, 6.0, 7.0]
+        assert len(returned) == 1 and returned[0] is emitted[-1]
+        assert len(emitted) == len(copies) == len(listed)
+        for state, (t, beta, gamma), ref in zip(emitted, copies, listed):
+            assert state.time == t == ref.time
+            for got, at_emit, want in ((state.beta, beta, ref.beta), (state.gamma, gamma, ref.gamma)):
+                assert got.tobytes() == at_emit.tobytes() == want.tobytes()
+
     def test_invariants_along_run(self, p_table1, domain):
         cfg = SimConfig(t_end=2000.0, dt=1.0, snapshot_every=500.0)
         snaps = simulate(p_table1, domain, cfg)
