@@ -42,19 +42,15 @@ class PatternReport:
         return self.peak_count >= 3 and not math.isnan(self.dominant_xi2)
 
 
-def check_threshold(rel_threshold: float) -> None:
-    """Raise ParameterError unless 0 < rel_threshold < 1."""
-    if not 0.0 < rel_threshold < 1.0:
-        raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
-
-
 def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
     """Strict local maxima of beta above rel_threshold * max(beta).
 
     Plateaus report their midpoint; boundary nodes are eligible via the
-    one-sided comparison. Returns (count, positions in m).
+    one-sided comparison. Returns (count, positions in m); ParameterError
+    unless 0 < rel_threshold < 1.
     """
-    check_threshold(rel_threshold)
+    if not 0.0 < rel_threshold < 1.0:
+        raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
     b = np.asarray(s.beta, dtype=float)
     n = b.shape[0]
     x = dom.x()

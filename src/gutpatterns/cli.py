@@ -6,7 +6,9 @@ a flat ``key = value`` file with ``#`` comments; omitted keys take their
 ``SimConfig``, and an omitted f_e is calibrated at theta_target. Every run
 that passes validation writes a ``manifest`` echoing the fully resolved
 configuration; feeding the manifest back as the config reproduces the run
-byte for byte. A run rejected at validation (exit 1) writes nothing.
+byte for byte. A run rejected at validation (exit 1) writes nothing: simulate
+starts its outputs at its first snapshot, which ``solver.simulate`` makes
+only after checking every input.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation, an output that could not be written or memory that could not be
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import PEAK_THRESHOLD, analyze_pattern, check_threshold, snapshot_stats
+from .analysis import PEAK_THRESHOLD, analyze_pattern, snapshot_stats
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, Verdict, scan_region
-from .solver import Domain1D, FieldState, SimConfig, check_run, simulate, snapshot_times
+from .solver import Domain1D, FieldState, SimConfig, simulate, snapshot_times
 from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify
 
 
@@ -63,7 +65,7 @@ DEFAULTS = {
 
 class RunConfig:
     """One attribute per :data:`DEFAULTS` key, plus ``fe_calibrated``, which
-    :meth:`resolve` sets when it calibrates f_e."""
+    :func:`parse_config` sets when it calibrates f_e."""
 
     def __init__(self):
         self.__dict__.update(DEFAULTS)
@@ -72,14 +74,7 @@ class RunConfig:
     def _project(self, cls, **override):
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | override)
 
-    def resolve(self) -> None:
-        """Fill in a calibrated f_e when none was given."""
-        if self.f_e is None:
-            self.f_e = calibrate_fe(self._project(ModelParams, f_e=0.0), self.theta_target)
-            self.fe_calibrated = True
-
     def params(self) -> ModelParams:
-        self.resolve()
         return self._project(ModelParams)
 
     def domain(self) -> Domain1D:
@@ -112,7 +107,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {key} must be finite")
         setattr(cfg, key, parsed)
     try:
-        cfg.params()  # triggers validation and calibration early
+        if cfg.f_e is None:
+            cfg.f_e = calibrate_fe(cfg._project(ModelParams, f_e=0.0), cfg.theta_target)
+            cfg.fe_calibrated = True
+        cfg.params()  # validates
         cfg.domain()
     except (ParameterError, CalibrationError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -141,7 +139,6 @@ def _start_outputs(cfg: RunConfig, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {str(out_dir)!r}: {exc.strerror}") from exc
-    cfg.resolve()
     lines = ["# resolved configuration; reusable as --config"]
     if cfg.fe_calibrated:
         lines.append("# f_e was calibrated from theta_target")
@@ -191,10 +188,10 @@ def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
                    _snapshot_rows(dom), state.beta, state.gamma)
 
 
-def _check_snapshot_names(sim: SimConfig) -> None:
-    """ConfigError if two snapshots of the run would be written to one file."""
+def _check_snapshot_names(times: list[float]) -> None:
+    """ConfigError if two snapshots at ``times`` would be written to one file."""
     first_time = {}
-    for t in snapshot_times(sim):
+    for t in times:
         name = _snapshot_name(t)
         earlier = first_time.setdefault(name, t)
         if earlier != t:
@@ -215,66 +212,49 @@ def _write_in_helper(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
     write_snapshot(state, dom, out_dir)
 
 
-class _SnapshotWriter:
-    """write_snapshot each state it is called with, spread over one process
-    per usable CPU, as a run makes them.
+@contextlib.contextmanager
+def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
+    """Yield a function that calls write_snapshot on each state it is given,
+    spread over one process per usable CPU, as a run makes them.
 
     Formatting the floats dominates a snapshot's cost. With k usable CPUs
     (at most one per snapshot), k - 1 forked helpers take a snapshot while
-    fewer than 2(k - 1) are in flight, and this process writes it otherwise,
-    so at most 2(k - 1) snapshots wait in the pool; with k = 1, or no fork
-    start method, this process writes every one. Every file's bytes come
-    from write_snapshot alone, so they do not depend on k. Closing waits for
-    every pending write, then raises the first helper error, unless an error
-    from the with-block is already propagating. A helper only formats and
-    writes: it is forked after numpy's BLAS threads have started, so it must
-    not call BLAS or LAPACK.
+    fewer than 2(k - 1) are in flight, and this process writes it otherwise;
+    with k = 1, or no fork start method, this process writes every one.
+    Every file's bytes come from write_snapshot alone, so they do not depend
+    on k. A helper's error is raised by the next write after it finishes, or
+    at the end of the with-block, which waits for every pending write; an
+    error from the with-block propagates unchanged. A helper only formats
+    and writes: it is forked after numpy's BLAS threads have started, so it
+    must not call BLAS or LAPACK.
     """
+    k = min(_usable_cpus(), n_snapshots)
+    if k > 1:
+        import multiprocessing
 
-    def __init__(self, dom: Domain1D, out_dir: Path, n_snapshots: int):
-        self.dom, self.out_dir = dom, out_dir
-        self.pool, self.in_flight, self.error = None, [], None
-        k = min(_usable_cpus(), n_snapshots)
-        if k > 1:
-            import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            k = 1
+    if k == 1:
+        yield lambda state: write_snapshot(state, dom, out_dir)
+        return
+    from concurrent.futures import ProcessPoolExecutor
 
-            if "fork" not in multiprocessing.get_all_start_methods():
-                k = 1
-        self.depth = 2 * (k - 1)
-        if k > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    in_flight = []
 
-            _snapshot_rows(dom)  # fill the template once, for the helpers to inherit
-            self.pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+    def write(state: FieldState) -> None:
+        for future in [future for future in in_flight if future.done()]:
+            in_flight.remove(future)
+            future.result()  # raises the helper's error
+        if len(in_flight) < 2 * (k - 1):
+            _snapshot_rows(dom)  # the helpers fork at the first submit and inherit the template
+            in_flight.append(pool.submit(_write_in_helper, state, dom, out_dir))
+        else:
+            write_snapshot(state, dom, out_dir)
 
-    def __call__(self, state: FieldState) -> None:
-        if self.pool is not None:
-            self._collect()
-            if len(self.in_flight) < self.depth:
-                self.in_flight.append(self.pool.submit(_write_in_helper, state, self.dom, self.out_dir))
-                return
-        write_snapshot(state, self.dom, self.out_dir)
-
-    def _collect(self) -> None:
-        """Drop the finished writes from in_flight, keeping the first error."""
-        pending = []
-        for future in self.in_flight:
-            if not future.done():
-                pending.append(future)
-            elif self.error is None:
-                self.error = future.exception()
-        self.in_flight = pending
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.pool is None:
-            return
-        self.pool.shutdown()  # waits for every pending write
-        self._collect()
-        if exc is None and self.error is not None:
-            raise self.error
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield write
+    for future in in_flight:  # all done: leaving the pool waited for them
+        future.result()
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
@@ -327,9 +307,11 @@ def _print_values(**values) -> None:
 
 
 # Each handler below runs everything that can reject the config before it
-# calls _start_outputs, so a run that exits 1 leaves no files; a simulate run
-# that fails while stepping keeps its manifest and every snapshot made before
-# the failure, and writes no series.csv or report.json.
+# calls _start_outputs, so a run that exits 1 leaves no files. _simulate calls
+# it at the first snapshot, which simulate makes only after checking every
+# input. A simulate run that fails while stepping, or cannot write a snapshot,
+# keeps its manifest and the snapshots written before the failure, and writes
+# no series.csv or report.json.
 
 
 def _linearised(cfg: RunConfig):
@@ -366,15 +348,16 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     p, eq, j = _linearised(cfg)
     band = dispersion(p, j).band
     dom, sim = cfg.domain(), cfg.sim_config()
-    check_run(p, dom, sim)
-    check_threshold(cfg.peak_threshold)
-    _check_snapshot_names(sim)
-    _start_outputs(cfg, out_dir)
+    times = snapshot_times(sim)
+    _check_snapshot_names(times)
     rows = []
-    with _SnapshotWriter(dom, out_dir, len(snapshot_times(sim))) as write:
+    with _snapshot_writer(dom, out_dir, len(times)) as write:
         def emit(state: FieldState) -> None:
-            write(state)
+            # the row comes first: detect_peaks rejects a bad peak_threshold
             rows.append(snapshot_stats(state, dom, cfg.peak_threshold))
+            if len(rows) == 1:
+                _start_outputs(cfg, out_dir)
+            write(state)
 
         final, = simulate(p, dom, sim, emit=emit)
     lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]

@@ -172,7 +172,11 @@ class _Integrator:
     """
 
     def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
-        _check_dt(p, dt)
+        if dt <= 0.0:
+            raise ParameterError(f"dt must be positive, got {dt!r}")
+        bound = max_stable_dt(p)
+        if dt > bound:
+            raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
         self.p = p
         self.dt = dt
         self.s = _scaled_saturation(p)
@@ -191,14 +195,6 @@ class _Integrator:
                                            p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c, work)
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new
-
-
-def _check_dt(p: ModelParams, dt: float) -> None:
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    bound = max_stable_dt(p)
-    if dt > bound:
-        raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
 
 
 def _scaled_saturation(p: ModelParams) -> float:
@@ -225,14 +221,6 @@ def _diffusion_numbers(p: ModelParams, dom: Domain1D, dt: float) -> tuple[float,
     return mu
 
 
-def check_run(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> None:
-    """Raise ParameterError if :func:`simulate` would reject these inputs."""
-    _check_dt(p, cfg.dt)
-    _scaled_saturation(p)
-    _diffusion_numbers(p, dom, cfg.dt)
-    initial_state(p, dom, cfg)
-
-
 def _step_counts(cfg: SimConfig) -> tuple[int, int]:
     """The run's number of steps and the steps between snapshots."""
     return int(round(cfg.t_end / cfg.dt)), int(round(cfg.snapshot_every / cfg.dt))
@@ -252,12 +240,14 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig,
              emit: Callable[[FieldState], None] | None = None) -> list[FieldState]:
     """Integrate to t_end, returning snapshots on the configured cadence.
 
-    The final state is always included. Step failures propagate with the
-    offending time attached. With ``emit``, each snapshot is passed to
-    ``emit(state)`` as soon as it is made, in time order, and the returned
-    list holds only the final state, so the run keeps no snapshot. Every
-    snapshot owns its arrays, never the integrator's work arrays, so
-    ``emit`` may hold on to it or hand it to another thread.
+    The final state is always included. Every input is checked, and
+    rejected with ParameterError, before the first snapshot is made; step
+    failures propagate with the offending time attached. With ``emit``,
+    each snapshot is passed to ``emit(state)`` as soon as it is made, in
+    time order, and the returned list holds only the final state, so the
+    run keeps no snapshot. Every snapshot owns its arrays, never the
+    integrator's work arrays, so ``emit`` may hold on to it or hand it to
+    another thread.
     """
     integrator = _Integrator(p, dom, cfg.dt)
     state = initial_state(p, dom, cfg)

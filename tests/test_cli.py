@@ -226,7 +226,9 @@ class TestSubcommands:
 
     # With one CPU, this process writes every snapshot. With two, the helper
     # takes snap_t0.csv and snap_t5.csv: the pool holds two writes, and these
-    # are the first two. /dev/full fails the write, not the open.
+    # are the first two. /dev/full fails the write, not the open. A helper's
+    # error is raised by the next write after it, so a run of 10001 snapshots
+    # stops long before its last one.
     @pytest.mark.parametrize("subcommand, cpus, blocked, how", [
         ("simulate", 1, "snap_t0.csv", "dir"),
         ("simulate", 2, "snap_t5.csv", "dir"),
@@ -239,7 +241,7 @@ class TestSubcommands:
             pytest.skip("no /dev/full")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         cfg, out = tmp_path / "cfg", tmp_path / "out"
-        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 10\nsnapshot_every = 5\n"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 50000\nsnapshot_every = 5\n"
                        "r_c_steps = 4\na_steps = 4\n")
         out.mkdir()
         if how == "dir":
@@ -252,6 +254,23 @@ class TestSubcommands:
         lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(lines) == 1 and repr(str(out / blocked)) in lines[0], err
         assert (out / "manifest").exists()
+        assert not (out / "snap_t50000.csv").exists() and not (out / "series.csv").exists()
+
+    # Each config passes the parser and is rejected only inside simulate, which
+    # checks every input before it makes the first snapshot, where the CLI
+    # starts its outputs.
+    @pytest.mark.parametrize("config, message", [
+        ("dt = 5\n", "dt=5.0 exceeds the explicit-reaction bound 4.623 min"),
+        ("spot_amplitude = 1e17\n", "initial bacterial density must stay below b_i"),
+        ("peak_threshold = 1\n", "rel_threshold must lie in (0, 1), got 1.0"),
+    ], ids=["dt-bound", "spot-at-b_i", "peak-threshold"])
+    def test_rejected_by_simulate_writes_nothing(self, tmp_path, capsys, config, message):
+        cfg, out = tmp_path / "cfg", tmp_path / "out"
+        cfg.write_text("n_points = 64\nlength = 0.001\nspot_center = 0.0005\nt_end = 10\n"
+                       "snapshot_every = 5\n" + config)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     # A config such as n_points = 1e12 asks numpy for terabytes; whether that
     # allocation fails depends on the machine's overcommit policy, so the
@@ -434,12 +453,40 @@ def test_snapshot_files_do_not_depend_on_process_count(tmp_path, monkeypatch, rn
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "write_snapshot", recording)
-    with cli._SnapshotWriter(dom, out, n_snapshots) as write:
+    with cli._snapshot_writer(dom, out, n_snapshots) as write:
         for state in states:
             write(state)
     assert read_outputs(out) == read_outputs(expected)
     assert sorted(log.read_text().splitlines()) == sorted(map(repr, times))
     assert max(in_flight, default=0) <= 2 * (min(cpus, n_snapshots) - 1)
+
+
+def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
+    dom = Domain1D(length=0.001, n_points=64)
+    state = FieldState(time=0.0, beta=np.zeros(64), gamma=np.zeros(64))
+    parent = os.getpid()
+
+    def failing_in_helper(state, dom, out_dir):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device", "in a helper")
+        write_snapshot(state, dom, out_dir)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "write_snapshot", failing_in_helper)
+    ended = False
+    with pytest.raises(OSError, match="in a helper"):
+        with cli._snapshot_writer(dom, tmp_path, 1000) as write:
+            # the first write goes to the helper; once it has failed, a later
+            # write raises its error, long before the with-block ends
+            for _ in range(1000):
+                write(state)
+                time.sleep(0.01)
+            ended = True
+    assert not ended
+    # an error from a write that no later write follows is raised at the end
+    with pytest.raises(OSError, match="in a helper"):
+        with cli._snapshot_writer(dom, tmp_path, 1000) as write:
+            write(state)
 
 
 class TestReproducibility:
