@@ -18,6 +18,7 @@ from .errors import DegenerateSpectrumError, ParameterError
 from .solver import Domain1D, FieldState
 
 CONSTANT_FIELD_RTOL = 1e-14
+FLAT_FIELD_RTOL = 1e-12  # of max(beta): a field whose range is below this has no peaks
 LOW_VARIANCE_FACTOR = 1e-6  # of beta_ref^2: skip band checking below this
 PEAK_THRESHOLD = 0.1  # default peak cut, relative to max(beta)
 
@@ -46,8 +47,9 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     """Strict local maxima of beta above rel_threshold * max(beta).
 
     Plateaus report their midpoint; boundary nodes are eligible via the
-    one-sided comparison. Returns (count, positions in m); ParameterError
-    unless 0 < rel_threshold < 1.
+    one-sided comparison. A field flat to FLAT_FIELD_RTOL of its maximum
+    has none, so round-off ripples are not peaks. Returns (count,
+    positions in m); ParameterError unless 0 < rel_threshold < 1.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
@@ -55,13 +57,11 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     n = b.shape[0]
     x = dom.x()
     peak_max = b.max()
-    if peak_max <= 0.0:
+    if peak_max <= 0.0 or peak_max - b.min() <= FLAT_FIELD_RTOL * peak_max:
         return 0, []
     threshold = rel_threshold * peak_max
     # Runs of equal values: starts[k]..ends[k] is run k, heights[k] its value.
     change = np.flatnonzero(b[1:] != b[:-1])
-    if change.size == 0:
-        return 0, []  # a run covering the whole grid is constant
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [n - 1]))
     heights = b[starts]

@@ -23,17 +23,40 @@ A step allocates no arrays: the reaction update writes its intermediates
 into a caller-owned work array with ``out=`` and in-place ufuncs, and
 ``dpttrs`` solves in place on the right-hand sides it leaves there.
 
-scipy is imported by :func:`factor`, not here, so the subcommands that
-never step do not pay for loading it.
+LAPACK is loaded by :func:`factor`, not here, so the subcommands that
+never step do not pay for loading it. :func:`_lapack` imports the
+top-level ``scipy`` package, which sets up its bundled libraries, and then
+loads scipy's LAPACK extension module ``scipy.linalg._flapack`` straight
+from its file, so the package init of ``scipy.linalg`` (hundreds of Python
+modules, ~0.2 s and ~27 MB) never runs. ``dpttrf`` and ``dpttrs`` are the
+same compiled routines that ``scipy.linalg.lapack`` exports.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
 from .errors import InvariantError
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module, loaded without ``scipy.linalg``."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    path = [os.path.join(entry, "linalg") for entry in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        raise ImportError(f"cannot find {name} in {path}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def factor(n: int, mu_b: float, mu_c: float) -> functools.partial:
@@ -43,21 +66,20 @@ def factor(n: int, mu_b: float, mu_c: float) -> functools.partial:
     callable that overwrites a contiguous 2n right-hand side (bacteria
     first, end entries halved) with the solution.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
+    lapack = _lapack()
     mu = np.repeat([mu_b, mu_c], n)
     d = 1.0 + 2.0 * mu
     ends = [0, n - 1, n, 2 * n - 1]
     d[ends] = 0.5 + mu[ends]
     e = -mu[:-1]
     e[n - 1] = 0.0  # the two fields do not couple through diffusion
-    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    d, e, info = lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise InvariantError(
             f"diffusion matrix is not positive definite "
             f"(LAPACK dpttrf info={info}, mu_b={mu_b!r}, mu_c={mu_c!r})"
         )
-    return functools.partial(dpttrs, d, e, overwrite_b=1)
+    return functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
 
 
 def work_array(n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from gutpatterns import (
     detect_peaks,
     dominant_wavelength,
 )
+from gutpatterns.analysis import FLAT_FIELD_RTOL
 
 
 def field(beta, gamma=None):
@@ -25,7 +26,7 @@ def detect_peaks_loop(b: np.ndarray, x: np.ndarray, rel_threshold: float):
     """Element-by-element peak scan: the reference for detect_peaks."""
     n = b.shape[0]
     peak_max = b.max()
-    if peak_max <= 0.0:
+    if peak_max <= 0.0 or peak_max - b.min() <= FLAT_FIELD_RTOL * peak_max:
         return 0, []
     threshold = rel_threshold * peak_max
     positions = []
@@ -77,6 +78,15 @@ class TestDetectPeaks:
         count, positions = detect_peaks(field(np.full(100, 5.0)), dom)
         assert count == 0
         assert positions == []
+
+    @pytest.mark.parametrize("ripple,count", [(0.5 * FLAT_FIELD_RTOL, 0), (2.0 * FLAT_FIELD_RTOL, 2)])
+    def test_round_off_ripple_is_not_a_peak(self, ripple, count):
+        # two maxima of height ripple * max(beta) above an otherwise flat field
+        dom = Domain1D(length=1.0, n_points=64)
+        beta = np.full(64, 3e16)
+        beta[[10, 40]] *= 1.0 + ripple
+        assert detect_peaks(field(beta), dom)[0] == count
+        assert detect_peaks_loop(beta, dom.x(), 0.1)[0] == count
 
     def test_synthetic_cosine_train(self):
         # five full periods, phase-shifted so every maximum is interior

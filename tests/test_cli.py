@@ -123,6 +123,20 @@ class TestSubcommands:
         assert snap[0] == "x,beta,gamma"
         assert len(snap) == 401
 
+    def test_flat_run_reports_no_peaks(self, tmp_path):
+        # no noise on a 1 mm domain: beta stays flat to ~3e-14 relative, and its
+        # round-off ripples are not peaks
+        cfg = tmp_path / "cfg"
+        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 100\nsnapshot_every = 10\n"
+                       "ic = perturbation\nnoise_rel = 0\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "report.json").read_text())["peak_count"] == 0
+        rows = [line.split(",") for line in (out_dir / "series.csv").read_text().splitlines()[1:]
+                if not line.startswith("#")]
+        assert len(rows) == 11
+        assert all(row[-1] == "0" for row in rows)
+
     def test_scan_output_format(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("r_c_steps = 12\na_steps = 10\n")
@@ -521,36 +535,70 @@ class TestReproducibility:
         assert a != b
 
 
-# Runs one subcommand in a fresh interpreter and prints whether scipy and the
-# process pool were loaded.
-_SCIPY_PROBE = """\
+# Runs one subcommand in a fresh interpreter and prints its exit code, whether
+# scipy.linalg is loaded, how many LAPACK modules kernels._lapack loaded,
+# whether the process pool is loaded, and the peak RSS (VmHWM) in kB, or -1
+# where /proc/self/status does not give it.
+_IMPORT_PROBE = """\
 import sys
+from gutpatterns import kernels
 from gutpatterns.cli import main
 code = main(sys.argv[1:])
-print(code, "scipy" in sys.modules, "concurrent.futures.process" in sys.modules)
+try:
+    with open("/proc/self/status") as status:
+        hwm = next((line.split()[1] for line in status if line.startswith("VmHWM:")), -1)
+except OSError:
+    hwm = -1
+print(code, "scipy.linalg" in sys.modules, kernels._lapack.cache_info().currsize,
+      "concurrent.futures.process" in sys.modules, hwm)
 """
 
 
-@pytest.mark.parametrize("subcommand,config,loads_scipy", [
+def _probe(tmp_path, subcommand, config):
+    cfg = tmp_path / f"{subcommand}.cfg"
+    cfg.write_text(config)
+    src = str(Path(gutpatterns.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, subcommand, "--config", str(cfg),
+         "--out", str(tmp_path / subcommand)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("subcommand,config,loads_lapack", [
     ("steady", "", False),
     ("stability", "", False),
     ("dispersion", "", False),
     ("scan", "r_c_steps = 12\na_steps = 10\n", False),
     ("simulate", SMALL_SIM, True),
 ])
-def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_scipy):
-    # importing scipy's dpttrf costs 0.2-0.3 s and ~29 MB of RSS; only the diffusion solve needs it.
+def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapack):
+    # Only the diffusion solve needs LAPACK, which kernels._lapack loads from scipy's
+    # extension module in ~0.03 s and ~1.5 MB; importing scipy.linalg would cost
+    # another ~0.2 s and ~27 MB, so no subcommand may import it.
     # The process pool (~21 ms to import) is loaded only to write a run's snapshots on several CPUs.
     loads_pool = subcommand == "simulate" and cli._usable_cpus() > 1
-    cfg = tmp_path / "cfg"
-    cfg.write_text(config)
-    src = str(Path(gutpatterns.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy} {loads_pool}", proc.stderr
+    code, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
+    assert (code, linalg, int(loads), pool) == ("0", "False", int(loads_lapack), str(loads_pool))
+
+
+def _has_vm_hwm():
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
+def test_simulate_peak_memory_close_to_steady(tmp_path):
+    # steady loads numpy and the package; a small simulate adds LAPACK, a few fields
+    # and its writers, ~4-6 MB. Importing scipy.linalg would add ~27 MB more.
+    steady = int(_probe(tmp_path, "steady", "")[-1])
+    simulate = int(_probe(tmp_path, "simulate", SMALL_SIM)[-1])
+    assert simulate - steady < 12 * 1024, (steady, simulate)
 
 
 # perfbench/child.py times a traced benchmark run by replacing functions in

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -99,3 +104,52 @@ def test_step_in_work_array_matches_allocating_reference(n, rng):
             assert np.shares_memory(x, row)
         np.testing.assert_array_equal(b, b_in)
         np.testing.assert_array_equal(g, g_in)
+
+
+def test_missing_lapack_module_names_it(monkeypatch):
+    monkeypatch.setattr(kernels.importlib.machinery.PathFinder, "find_spec", lambda name, path: None)
+    kernels._lapack.cache_clear()
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        kernels._lapack()
+
+
+# Solves one random SPD tridiagonal system with the routines kernels._lapack()
+# loads and with those of scipy.linalg.lapack, in the order given, and prints
+# whether the factors and solutions are equal and whether scipy.linalg was
+# imported by the first load.
+_LAPACK_PROBE = """\
+import sys
+import numpy as np
+from gutpatterns import kernels
+def via_kernels():
+    lapack = kernels._lapack()
+    return lapack.dpttrf, lapack.dpttrs
+def via_scipy():
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
+rng = np.random.default_rng(5)
+n = 500
+e = rng.uniform(-1.0, 1.0, n - 1)
+d = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant, so SPD
+rhs = rng.standard_normal(n)
+results, linalg_loaded = [], []
+for load in (via_kernels, via_scipy)[::int(sys.argv[1])]:
+    dpttrf, dpttrs = load()
+    df, ef, info = dpttrf(d, e)
+    x, info_s = dpttrs(df, ef, rhs)
+    assert info == info_s == 0
+    results.append((df, ef, x))
+    linalg_loaded.append("scipy.linalg" in sys.modules)
+print(all(np.array_equal(a, b) for a, b in zip(*results)), linalg_loaded[0])
+"""
+
+
+@pytest.mark.parametrize("order,linalg_after_first", [(1, False), (-1, True)],
+                         ids=["kernels_first", "scipy_first"])
+def test_loaded_lapack_is_scipys_bit_for_bit(order, linalg_after_first):
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _LAPACK_PROBE, str(order)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", str(linalg_after_first)]
