@@ -17,8 +17,7 @@ import numpy as np
 from .errors import DegenerateSpectrumError, ParameterError
 from .solver import Domain1D, FieldState
 
-CONSTANT_FIELD_RTOL = 1e-14
-FLAT_FIELD_RTOL = 1e-12  # of max(beta): a field whose range is below this has no peaks
+FLAT_FIELD_RTOL = 1e-12  # of max|beta|: a field whose range is within this is flat
 LOW_VARIANCE_FACTOR = 1e-6  # of beta_ref^2: skip band checking below this
 PEAK_THRESHOLD = 0.1  # default peak cut, relative to max(beta)
 
@@ -43,13 +42,21 @@ class PatternReport:
         return self.peak_count >= 3 and not math.isnan(self.dominant_xi2)
 
 
+def _is_flat(b: np.ndarray) -> bool:
+    """True when beta's range is round-off: at most FLAT_FIELD_RTOL of max|beta|.
+
+    A flat field has neither peaks nor a dominant wavelength.
+    """
+    return b.max() - b.min() <= FLAT_FIELD_RTOL * np.abs(b).max()
+
+
 def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
     """Strict local maxima of beta above rel_threshold * max(beta).
 
     Plateaus report their midpoint; boundary nodes are eligible via the
-    one-sided comparison. A field flat to FLAT_FIELD_RTOL of its maximum
-    has none, so round-off ripples are not peaks. Returns (count,
-    positions in m); ParameterError unless 0 < rel_threshold < 1.
+    one-sided comparison. A flat field has none, so round-off ripples are
+    not peaks. Returns (count, positions in m); ParameterError unless
+    0 < rel_threshold < 1.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
@@ -57,7 +64,7 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     n = b.shape[0]
     x = dom.x()
     peak_max = b.max()
-    if peak_max <= 0.0 or peak_max - b.min() <= FLAT_FIELD_RTOL * peak_max:
+    if peak_max <= 0.0 or _is_flat(b):
         return 0, []
     threshold = rel_threshold * peak_max
     # Runs of equal values: starts[k]..ends[k] is run k, heights[k] its value.
@@ -76,15 +83,14 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
 def dominant_wavelength(s: FieldState, dom: Domain1D) -> tuple[float, float]:
     """(squared wavenumber, wavelength) of the strongest nonzero spatial mode.
 
-    Raises DegenerateSpectrumError on fields constant to 1e-14 relative.
+    Raises DegenerateSpectrumError on a flat field.
     """
     b = np.asarray(s.beta, dtype=float)
     n = b.shape[0]
     if n < 16:
         raise ParameterError(f"need at least 16 nodes, got {n}")
-    scale = max(np.abs(b).max(), 1.0)
-    if b.max() - b.min() <= CONSTANT_FIELD_RTOL * scale:
-        raise DegenerateSpectrumError("field is constant; no dominant wavelength")
+    if _is_flat(b):
+        raise DegenerateSpectrumError("field is flat; no dominant wavelength")
     dev = b - b.mean()
     # even extension: [d0..d_{n-1}, d_{n-2}..d_1], period 2(n-1)*dx
     ext = np.concatenate([dev, dev[-2:0:-1]])
@@ -106,7 +112,7 @@ def analyze_pattern(
 
     ``band`` is the predicted unstable interval of squared wavenumbers (None
     when linear theory predicts no instability). A field whose spatial
-    variance is below 1e-6 * beta_ref^2, or that is constant, is pattern-free:
+    variance is below 1e-6 * beta_ref^2, or that is flat, is pattern-free:
     its dominant xi^2 and wavelength are nan, so it is not in the band.
     """
     variance = float(np.var(s.beta))

@@ -153,6 +153,19 @@ class TestDominantWavelength:
         with pytest.raises(DegenerateSpectrumError):
             dominant_wavelength(field(np.full(100, 2.0)), dom)
 
+    @pytest.mark.parametrize("ripple,flat", [(0.5 * FLAT_FIELD_RTOL, True), (2.0 * FLAT_FIELD_RTOL, False)])
+    def test_flat_as_detect_peaks_sees_it(self, ripple, flat):
+        # the round-off ripple field of TestDetectPeaks: no wavelength exactly when no peaks
+        dom = Domain1D(length=1.0, n_points=64)
+        beta = np.full(64, 3e16)
+        beta[[10, 40]] *= 1.0 + ripple
+        assert (detect_peaks(field(beta), dom)[0] == 0) == flat
+        if flat:
+            with pytest.raises(DegenerateSpectrumError):
+                dominant_wavelength(field(beta), dom)
+        else:
+            dominant_wavelength(field(beta), dom)
+
 
 class TestAnalyzePattern:
     def test_patterned_field(self):

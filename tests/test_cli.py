@@ -536,7 +536,7 @@ class TestReproducibility:
 
 
 # Runs one subcommand in a fresh interpreter and prints its exit code, whether
-# scipy.linalg is loaded, how many LAPACK modules kernels._lapack loaded,
+# scipy and scipy.linalg are loaded, how many LAPACK modules kernels._lapack loaded,
 # whether the process pool is loaded, and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it.
 _IMPORT_PROBE = """\
@@ -549,8 +549,8 @@ try:
         hwm = next((line.split()[1] for line in status if line.startswith("VmHWM:")), -1)
 except OSError:
     hwm = -1
-print(code, "scipy.linalg" in sys.modules, kernels._lapack.cache_info().currsize,
-      "concurrent.futures.process" in sys.modules, hwm)
+print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules,
+      kernels._lapack.cache_info().currsize, "concurrent.futures.process" in sys.modules, hwm)
 """
 
 
@@ -577,12 +577,13 @@ def _probe(tmp_path, subcommand, config):
 ])
 def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapack):
     # Only the diffusion solve needs LAPACK, which kernels._lapack loads from scipy's
-    # extension module in ~0.03 s and ~1.5 MB; importing scipy.linalg would cost
-    # another ~0.2 s and ~27 MB, so no subcommand may import it.
+    # extension module in ~0.03 s and ~1.5 MB, so only simulate imports scipy at all;
+    # importing scipy.linalg would cost another ~0.2 s and ~27 MB, so no subcommand may.
     # The process pool (~21 ms to import) is loaded only to write a run's snapshots on several CPUs.
     loads_pool = subcommand == "simulate" and cli._usable_cpus() > 1
-    code, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
-    assert (code, linalg, int(loads), pool) == ("0", "False", int(loads_lapack), str(loads_pool))
+    code, scipy_, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
+    assert (code, scipy_, linalg, int(loads), pool) == (
+        "0", str(loads_lapack), "False", int(loads_lapack), str(loads_pool))
 
 
 def _has_vm_hwm():

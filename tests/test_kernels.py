@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from gutpatterns import kernels
@@ -106,8 +107,9 @@ def test_step_in_work_array_matches_allocating_reference(n, rng):
         np.testing.assert_array_equal(g, g_in)
 
 
-def test_missing_lapack_module_names_it(monkeypatch):
-    monkeypatch.setattr(kernels.importlib.machinery.PathFinder, "find_spec", lambda name, path: None)
+def test_missing_lapack_module_names_it(monkeypatch, tmp_path):
+    # an empty scipy package directory has no linalg/_flapack* to load
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     kernels._lapack.cache_clear()
     with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
         kernels._lapack()
