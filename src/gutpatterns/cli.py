@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -159,14 +160,23 @@ def _create(path: Path, mode: str = "w", **kwargs):
         raise
 
 
-def _write_columns(path: Path, header: str, rows: str, *columns: np.ndarray) -> None:
-    """Write CSV text: ``header``, then the ``rows`` template with its ``%r``
-    fields filled in row order from equal-length float columns. ``%r`` of a
-    Python float is its repr."""
-    body = rows % tuple(np.column_stack(columns).ravel().tolist())
+# Rows per block of a CSV float writer: the writer holds one block's floats
+# and text at a time, never a whole column's.
+_BLOCK_ROWS = 1024
+
+
+def _write_columns(path: Path, header: str, templates: Iterable[str], *columns: np.ndarray) -> None:
+    """Write CSV text: ``header``, then the rows of equal-length float columns,
+    _BLOCK_ROWS at a time. The k-th of ``templates`` is the k-th block's row
+    template, whose ``%r`` fields are filled in row order from that block's
+    rows; ``%r`` of a Python float is its repr. There must be one template
+    per block."""
+    starts = range(0, columns[0].size, _BLOCK_ROWS)
     with _create(path) as f:
         f.write(header + "\n")
-        f.write(body)
+        for start, rows in zip(starts, templates, strict=True):
+            block = np.column_stack([column[start:start + _BLOCK_ROWS] for column in columns])
+            f.write(rows % tuple(block.ravel().tolist()))
 
 
 def _snapshot_name(t: float) -> str:
@@ -177,10 +187,13 @@ def _snapshot_name(t: float) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _snapshot_rows(dom: Domain1D) -> str:
-    """Row template of a snapshot on ``dom``: x as its repr, then ``%r`` for
-    beta and gamma. Every snapshot of a run shares it, so x is formatted once."""
-    return "".join(f"{x!r},%r,%r\n" for x in dom.x().tolist())
+def _snapshot_rows(dom: Domain1D) -> tuple[str, ...]:
+    """Row templates of a snapshot on ``dom``, one per block of _BLOCK_ROWS
+    nodes: x as its repr, then ``%r`` for beta and gamma. Every snapshot of a
+    run shares them, so x is formatted once, a block's slice at a time."""
+    x = dom.x()
+    return tuple("".join(f"{v!r},%r,%r\n" for v in x[start:start + _BLOCK_ROWS].tolist())
+                 for start in range(0, x.size, _BLOCK_ROWS))
 
 
 def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
@@ -246,7 +259,7 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
             in_flight.remove(future)
             future.result()  # raises the helper's error
         if len(in_flight) < 2 * (k - 1):
-            _snapshot_rows(dom)  # the helpers fork at the first submit and inherit the template
+            _snapshot_rows(dom)  # the helpers fork at the first submit and inherit the templates
             in_flight.append(pool.submit(_write_in_helper, state, dom, out_dir))
         else:
             write_snapshot(state, dom, out_dir)
@@ -336,8 +349,11 @@ def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
     p, _, j = _linearised(cfg)
     curve = dispersion(p, j, xi2_max=cfg.xi2_max, samples=cfg.xi2_samples)
     _start_outputs(cfg, out_dir)
-    _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate",
-                   "%r,%r\n" * curve.xi2_samples.size, curve.xi2_samples, curve.growth_rates)
+    # every full block shares one template string
+    full, last = divmod(curve.xi2_samples.size, _BLOCK_ROWS)
+    templates = ["%r,%r\n" * _BLOCK_ROWS] * full + (["%r,%r\n" * last] if last else [])
+    _write_columns(out_dir / "dispersion.csv", "xi2,growth_rate", templates,
+                   curve.xi2_samples, curve.growth_rates)
     if curve.band is None:
         _print_values(unstable_band="empty")
     else:

@@ -11,6 +11,7 @@ capacity ``b_i`` so every intermediate stays O(1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,18 @@ _NONNEG = ("r_b", "a", "f_e")
 
 REL_TOL_ROOT = 1e-12     # bisection convergence, relative
 REL_TOL_CROSSCHECK = 1e-9  # bisection vs closed-form agreement
+
+# The largest node or sample count: numpy arrays hold at most sys.maxsize
+# bytes, and the solver holds both float64 fields of n_points nodes in one.
+MAX_COUNT = sys.maxsize // 16
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """ParameterError unless ``least <= value <= MAX_COUNT``. A larger count
+    would make numpy raise ValueError, IndexError or OverflowError rather than
+    MemoryError."""
+    if not least <= value <= MAX_COUNT:
+        raise ParameterError(f"{name} must lie in [{least}, {MAX_COUNT}], got {value}")
 
 
 @dataclass(frozen=True)

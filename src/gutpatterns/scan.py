@@ -21,7 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CalibrationError, ParameterError
-from .params import DEFAULT_THETA, ModelParams, calibrate_fe, steady_state
+from .params import DEFAULT_THETA, ModelParams, calibrate_fe, check_count, steady_state
 from .stability import jacobian, turing_classify
 
 F_B_COUPLING = 0.1  # f_b = 0.1 * r_c across the scan
@@ -83,8 +83,8 @@ def scan_region(
         raise ParameterError("scan ranges must be positive")
     if r_c_range[1] <= r_c_range[0] or a_range[1] <= a_range[0]:
         raise ParameterError("scan ranges must be non-empty")
-    if resolution[0] < 2 or resolution[1] < 2:
-        raise ParameterError("resolution must be at least 2x2")
+    for axis, count in zip(("r_c", "a"), resolution):
+        check_count(f"{axis} resolution", count, 2)
 
     r_c = np.linspace(r_c_range[0], r_c_range[1], resolution[0])
     a = np.linspace(a_range[0], a_range[1], resolution[1])

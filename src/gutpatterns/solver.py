@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvariantError, ParameterError
-from .params import ModelParams
+from .params import ModelParams, check_count
 
 CLAMP_TOL = 1e-12          # scaled by b_i
 DT_SAFETY = 0.2            # explicit-reaction stability margin
@@ -34,8 +34,7 @@ class Domain1D:
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ParameterError(f"length must be positive, got {self.length!r}")
-        if self.n_points < 16:
-            raise ParameterError(f"n_points must be >= 16, got {self.n_points}")
+        check_count("n_points", self.n_points, 16)
 
     @property
     def dx(self) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError
-from .params import Equilibrium, ModelParams
+from .params import Equilibrium, ModelParams, check_count
 
 REL_TOL_IDENTITY = 1e-9  # Turing condition value vs M11 agreement
 DISPERSION_SAMPLES = 512  # default sample count of dispersion()
@@ -171,8 +171,7 @@ def dispersion(
     six decades around the characteristic scale sqrt(det/(d_b*d_c)).
     Non-finite band edges, samples or growth rates raise ParameterError.
     """
-    if samples < 2:
-        raise ParameterError(f"samples must be >= 2, got {samples}")
+    check_count("samples", samples, 2)
     band = band_edges(p, j)
     if xi2_max is not None:
         if not (math.isfinite(xi2_max) and xi2_max > 0.0):

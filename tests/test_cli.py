@@ -39,6 +39,7 @@ from gutpatterns.cli import (
     write_snapshot,
 )
 from gutpatterns.errors import ConfigError
+from gutpatterns.params import MAX_COUNT
 
 SMALL_SIM = """\
 t_end = 720
@@ -322,6 +323,9 @@ class TestSubcommands:
         assert outputs["snap_t0.csv"] == (expected / "snap_t0.csv").read_bytes()
 
 
+BLOCK = cli._BLOCK_ROWS  # rows per block of the CSV float writers
+
+
 def csv_reference(header: str, rows) -> str:
     """CSV text formatted value by value with _fmt: the writers' reference."""
     return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
@@ -398,24 +402,28 @@ class TestWritersMatchReference:
 
     def test_snapshot(self, tmp_path, rng):
         # domains A, B, A, then C (A's n_points, another length): a row
-        # template kept from another domain would put the wrong x in the file
+        # template kept from another domain would put the wrong x in the file.
+        # A's node counts end a block one row early, exactly and one row late,
+        # and three rows into a third block.
         b_i = 1e17
         special_beta = [0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0]
         special_gamma = [1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0]
-        dom_a = Domain1D(length=0.03, n_points=32)
         dom_b = Domain1D(length=0.011, n_points=19)
-        dom_c = Domain1D(length=0.011, n_points=32)
-        for k, dom in enumerate([dom_a, dom_b, dom_a, dom_c]):
-            n = dom.n_points - len(special_beta)
-            beta = np.concatenate([special_beta, rng.uniform(0.0, b_i, n)])
-            gamma = np.concatenate([special_gamma, rng.uniform(0.0, 1e16, n)])
-            out_dir = tmp_path / str(k)
-            out_dir.mkdir()
-            write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, out_dir)
-            rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
-            assert (out_dir / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
+        for n_points in (32, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+            dom_a = Domain1D(length=0.03, n_points=n_points)
+            dom_c = Domain1D(length=0.011, n_points=n_points)
+            for k, dom in enumerate([dom_a, dom_b, dom_a, dom_c]):
+                n = dom.n_points - len(special_beta)
+                beta = np.concatenate([special_beta, rng.uniform(0.0, b_i, n)])
+                gamma = np.concatenate([special_gamma, rng.uniform(0.0, 1e16, n)])
+                out_dir = tmp_path / f"{n_points}-{k}"
+                out_dir.mkdir()
+                write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, out_dir)
+                rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
+                assert (out_dir / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
 
-    @pytest.mark.parametrize("config", ["xi2_samples = 2048\n", "xi2_samples = 333\nxi2_max = 1e9\n"])
+    @pytest.mark.parametrize("config", ["xi2_samples = 2048\n", "xi2_samples = 333\nxi2_max = 1e9\n",
+                                        f"xi2_samples = {BLOCK}\n", f"xi2_samples = {BLOCK + 1}\n"])
     def test_dispersion(self, tmp_path, config):
         cfg = tmp_path / "cfg"
         cfg.write_text(config)
@@ -602,6 +610,16 @@ def test_simulate_peak_memory_close_to_steady(tmp_path):
     assert simulate - steady < 12 * 1024, (steady, simulate)
 
 
+@pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
+def test_dispersion_peak_memory_close_to_steady(tmp_path):
+    # 200000 samples are two 1.6 MB columns, which the CSV writer formats a
+    # block of rows at a time; formatting them whole held ~36 MB of floats,
+    # template and text at once
+    steady = int(_probe(tmp_path, "steady", "")[-1])
+    dispersion = int(_probe(tmp_path, "dispersion", "xi2_samples = 200000\n")[-1])
+    assert dispersion - steady < 20 * 1024, (steady, dispersion)
+
+
 # perfbench/child.py times a traced benchmark run by replacing functions in
 # gutpatterns.cli, .kernels and .analysis by name, so renaming or removing one
 # of them breaks the benchmark. A fresh interpreter keeps the replacements out
@@ -637,6 +655,27 @@ PROPERTY_KEYS = ("seed", "xi2_max", "xi2_samples", "t_end", "dt", "snapshot_ever
 # Values that make a valid run long are left out: dt = 1e-9 would run 4e9
 # steps. (dt = 1e-300 and t_end = 1e308 are rejected: too many steps.)
 PROPERTY_VALUES = ("-1", "0", "2.5", "3", "inf", "-inf", "nan")
+
+
+# A count above MAX_COUNT made numpy raise ValueError, IndexError or
+# OverflowError, which ended in a traceback; MAX_COUNT itself asks for
+# exabytes, which no machine can map. Huge values stay out of PROPERTY_VALUES,
+# where t_end = 2**59 would be a valid run of 5.8e17 steps.
+@pytest.mark.parametrize("count", [MAX_COUNT, 2**59, 2**60, 2**63])
+@pytest.mark.parametrize("key, subcommand", [
+    ("xi2_samples", "dispersion"), ("r_c_steps", "scan"), ("a_steps", "scan"), ("n_points", "simulate"),
+])
+def test_huge_count_fails_with_one_error_line(tmp_path, capsys, key, subcommand, count):
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    cfg.write_text(f"{key} = {count}\n")
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    if count > MAX_COUNT:
+        assert code == 1 and err[0].startswith("error:") and f"{MAX_COUNT}], got {count}" in err[0], err
+    else:
+        assert code == 2 and err[0].startswith("error: out of memory:"), err
+    assert not out.exists()
 
 
 def _assert_finite_outputs(out_dir: Path, subcommand: str, t_end: float) -> None:
