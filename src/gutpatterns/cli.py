@@ -6,9 +6,10 @@ a flat ``key = value`` file with ``#`` comments; omitted keys take their
 ``SimConfig``, and an omitted f_e is calibrated at theta_target. Every run
 that passes validation writes a ``manifest`` echoing the fully resolved
 configuration; feeding the manifest back as the config reproduces the run
-byte for byte. A run rejected at validation (exit 1) writes nothing: simulate
-starts its outputs at its first snapshot, which ``solver.simulate`` makes
-only after checking every input.
+byte for byte. Each handler runs all that can reject the config before its
+outputs start, so a run rejected at validation (exit 1) writes nothing;
+simulate starts them at its first snapshot, made after ``solver.simulate``
+checks every input, and a failed run keeps its manifest and earlier snapshots.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation, an output that could not be written or memory that could not be
@@ -23,6 +24,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, fields
@@ -218,56 +220,62 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_in_helper(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
-    # write_snapshot is looked up when a helper runs this, so a forked helper
-    # calls whatever this module's write_snapshot was at the fork, even a
-    # wrapper, which, unlike this function, need not be picklable
-    write_snapshot(state, dom, out_dir)
+def _reap(pid: int, report: int, path: Path, status: int | None = None) -> BaseException | None:
+    """The error of the child writing ``path``, or None; its pipe is drained before waitpid."""
+    with open(report, "rb") as f:
+        error = f.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1] if status is None else status)
+    if error or not code:
+        return pickle.loads(error) if error else None  # bytes from this process's own child
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return OSError(f"the process writing {str(path)!r} {how}")
 
 
 @contextlib.contextmanager
 def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
-    """Yield a function that calls write_snapshot on each state it is given,
-    spread over one process per usable CPU, as a run makes them.
-
-    Formatting the floats dominates a snapshot's cost. With k usable CPUs
-    (at most one per snapshot), k - 1 forked helpers take a snapshot while
-    fewer than 2(k - 1) are in flight, and this process writes it otherwise;
-    with k = 1, or no fork start method, this process writes every one.
-    Every file's bytes come from write_snapshot alone, so they do not depend
-    on k. A helper's error is raised by the next write after it finishes, or
-    at the end of the with-block, which waits for every pending write; an
-    error from the with-block propagates unchanged. A helper only formats
-    and writes: it is forked after numpy's BLAS threads have started, so it
-    must not call BLAS or LAPACK.
-    """
-    k = min(_usable_cpus(), n_snapshots)
-    if k > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            k = 1
-    if k == 1:
-        yield lambda state: write_snapshot(state, dom, out_dir)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    in_flight = []
+    """Yield a function that writes each state it is given by write_snapshot:
+    in a child forked for it while fewer than 2(k - 1) are alive, k being the
+    usable CPUs, once the child forked k - 1 before it is done, so k - 1 write
+    at once; else in this process. No byte depends on k. A child inherits the
+    state, where a spawned worker would import numpy again and unpickle it; it
+    calls no BLAS or LAPACK, whose threads predate the fork, and no other
+    Python thread here can hold a lock across the fork. It leaves by os._exit
+    and pipes back only its pickled error, raised with its type by the next
+    write after it ends or at the end of the with-block, which waits for every
+    child and lets its own error through unchanged. A child killed by a signal
+    or exiting non-zero without a report is an OSError naming its file."""
+    import select  # only here: the other subcommands never load it, simulate has it from scipy
+    k = min(_usable_cpus(), n_snapshots) if hasattr(os, "fork") else 1
+    children = {}  # pid -> (read end of its report pipe, the file it writes)
 
     def write(state: FieldState) -> None:
-        for future in [future for future in in_flight if future.done()]:
-            in_flight.remove(future)
-            future.result()  # raises the helper's error
-        if len(in_flight) < 2 * (k - 1):
-            _snapshot_rows(dom)  # the helpers fork at the first submit and inherit the templates
-            in_flight.append(pool.submit(_write_in_helper, state, dom, out_dir))
-        else:
-            write_snapshot(state, dom, out_dir)
+        for pid in list(children):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done and (error := _reap(pid, *children.pop(pid), status)):
+                raise error
+        if len(children) >= 2 * (k - 1):
+            return write_snapshot(state, dom, out_dir)
+        _snapshot_rows(dom)  # built here once, so every child inherits them
+        report, report_end = os.pipe()
+        if (pid := os.fork()) == 0:
+            try:
+                if len(children) >= k - 1:  # ready once that child has ended or reported
+                    select.select([list(children.values())[-(k - 1)][0]], [], [])
+                write_snapshot(state, dom, out_dir)
+                os._exit(0)
+            except BaseException as exc:
+                os.write(report_end, pickle.dumps(exc))  # an exception pickles to well under a pipe's buffer
+            finally:
+                os._exit(1)
+        os.close(report_end)
+        children[pid] = (report, out_dir / _snapshot_name(state.time))
 
-    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+    try:
         yield write
-    for future in in_flight:  # all done: leaving the pool waited for them
-        future.result()
+    finally:
+        errors = [_reap(pid, *child) for pid, child in children.items()]
+    for error in filter(None, errors):
+        raise error
 
 
 # "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
@@ -317,14 +325,6 @@ def _print_values(**values) -> None:
     """Print one ``key = value`` line per value, a bool as true or false."""
     for key, value in values.items():
         print(f"{key} = {str(value).lower() if isinstance(value, bool) else _fmt(value)}")
-
-
-# Each handler below runs everything that can reject the config before it
-# calls _start_outputs, so a run that exits 1 leaves no files. _simulate calls
-# it at the first snapshot, which simulate makes only after checking every
-# input. A simulate run that fails while stepping, or cannot write a snapshot,
-# keeps its manifest and the snapshots written before the failure, and writes
-# no series.csv or report.json.
 
 
 def _linearised(cfg: RunConfig):

@@ -23,6 +23,7 @@ from .params import Equilibrium, ModelParams, check_count
 
 REL_TOL_IDENTITY = 1e-9  # Turing condition value vs M11 agreement
 DISPERSION_SAMPLES = 512  # default sample count of dispersion()
+_GROWTH_RATE_BLOCK = 65536  # samples per block of growth_rate
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,23 @@ def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float] | None:
 
 
 def growth_rate(p: ModelParams, j: Jacobian2x2, xi2):
-    """Largest real part among the two roots of lambda^2 + a1*lambda + a2 = 0."""
+    """Largest real part among the two roots of lambda^2 + a1*lambda + a2 = 0,
+    evaluated _GROWTH_RATE_BLOCK samples at a time, so that the formula's
+    temporaries stay one block in size."""
     xi2 = np.asarray(xi2, dtype=float)
-    a1 = -j.trace + (p.d_b + p.d_c) * xi2
-    a2 = j.det - (j.m11 * p.d_c + j.m22 * p.d_b) * xi2 + p.d_b * p.d_c * xi2**2
-    disc = a1 * a1 - 4.0 * a2
-    real_roots = 0.5 * (-a1 + np.sqrt(np.maximum(disc, 0.0)))
-    complex_roots = -0.5 * a1
-    out = np.where(disc >= 0.0, real_roots, complex_roots)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    samples = xi2.ravel()
+    out = np.empty_like(samples)
+    for start in range(0, samples.size, _GROWTH_RATE_BLOCK):
+        x = samples[start:start + _GROWTH_RATE_BLOCK]
+        a1 = -j.trace + (p.d_b + p.d_c) * x
+        a2 = j.det - (j.m11 * p.d_c + j.m22 * p.d_b) * x + p.d_b * p.d_c * x**2
+        disc = a1 * a1 - 4.0 * a2
+        real_roots = 0.5 * (-a1 + np.sqrt(np.maximum(disc, 0.0)))
+        complex_roots = -0.5 * a1
+        out[start:start + _GROWTH_RATE_BLOCK] = np.where(disc >= 0.0, real_roots, complex_roots)
+    if xi2.ndim == 0:
+        return float(out[0])
+    return out.reshape(xi2.shape)
 
 
 def dispersion(

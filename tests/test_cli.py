@@ -3,11 +3,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -239,10 +239,10 @@ class TestSubcommands:
         assert "t=0.0" in err[0] and "t=1e-10" in err[0] and "snap_t0.csv" in err[0]
         assert not out.exists()
 
-    # With one CPU, this process writes every snapshot. With two, the helper
-    # takes snap_t0.csv and snap_t5.csv: the pool holds two writes, and these
-    # are the first two. /dev/full fails the write, not the open. A helper's
-    # error is raised by the next write after it, so a run of 10001 snapshots
+    # With one CPU, this process writes every snapshot. With two, forked
+    # children write snap_t0.csv and snap_t5.csv: two may be alive at once, and
+    # these are the first two. /dev/full fails the write, not the open. A
+    # child's error is raised by the next write after it, so a run of 10001 snapshots
     # stops long before its last one.
     @pytest.mark.parametrize("subcommand, cpus, blocked, how", [
         ("simulate", 1, "snap_t0.csv", "dir"),
@@ -452,35 +452,50 @@ def test_snapshot_files_do_not_depend_on_process_count(tmp_path, monkeypatch, rn
     for state in states:
         write_snapshot(state, dom, expected)
     # a closure stands in for write_snapshot, as a timing wrapper would; every
-    # process appends each time it writes to one log, and a helper is slow, so
-    # the pool fills and this process writes the rest
+    # process appends each time it writes to one log, and a child is slow, so
+    # 2(k - 1) children are soon alive and this process writes the rest
     parent = os.getpid()
 
     def recording(state, dom, out_dir):
+        start = time.monotonic()
         if os.getpid() != parent:
             time.sleep(0.05)
         write_snapshot(state, dom, out_dir)
         with open(log, "a") as f:
-            f.write(f"{state.time!r}\n")
+            f.write(f"{state.time!r} {os.getpid() != parent} {start!r} {time.monotonic()!r}\n")
 
-    # count, at each submit, the writes the pool has not yet finished
-    submitted, in_flight = [], []
-    real_submit = ProcessPoolExecutor.submit
+    # count, at each fork, the children that waitpid has not yet reaped
+    real_fork, real_waitpid = os.fork, os.waitpid
+    forked, reaped, alive = [], [], []
 
-    def submit(self, *args, **kwargs):
-        submitted.append(real_submit(self, *args, **kwargs))
-        in_flight.append(sum(not future.done() for future in submitted))
-        return submitted[-1]
+    def fork():
+        alive.append(len(forked) - len(reaped))
+        pid = real_fork()
+        forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    def waitpid(pid, options):
+        done, status = real_waitpid(pid, options)
+        if done:
+            reaped.append(done)
+        return done, status
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "write_snapshot", recording)
     with cli._snapshot_writer(dom, out, n_snapshots) as write:
         for state in states:
             write(state)
     assert read_outputs(out) == read_outputs(expected)
-    assert sorted(log.read_text().splitlines()) == sorted(map(repr, times))
-    assert max(in_flight, default=0) <= 2 * (min(cpus, n_snapshots) - 1)
+    records = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(t for t, *_ in records) == sorted(map(repr, times))
+    assert max(alive, default=0) <= 2 * (min(cpus, n_snapshots) - 1)
+    # children write k - 1 at a time: at no child's start are k - 1 others writing
+    spans = [(float(start), float(end)) for _, child, start, end in records if child == "True"]
+    assert all(sum(s < start < e for s, e in spans) < min(cpus, n_snapshots) - 1 for start, _ in spans)
+    assert sorted(reaped) == sorted(forked)  # the with-block waited for every child
+    assert (len(forked) > 0) == (min(cpus, n_snapshots) > 1)
 
 
 def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
@@ -509,6 +524,38 @@ def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="in a helper"):
         with cli._snapshot_writer(dom, tmp_path, 1000) as write:
             write(state)
+
+
+def test_killed_writer_fails_with_one_error_line(tmp_path, capfd, monkeypatch):
+    # the child writing snap_t0.csv kills itself before it writes; the run
+    # stops with one error line naming that file and leaves no child behind
+    parent, real_fork, forked = os.getpid(), os.fork, []
+
+    def killed_in_child(state, dom, out_dir):
+        if os.getpid() != parent and state.time == 0.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_snapshot(state, dom, out_dir)
+
+    def fork():
+        forked.append(real_fork())
+        return forked[-1]
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "write_snapshot", killed_in_child)
+    monkeypatch.setattr(os, "fork", fork)
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 50000\nsnapshot_every = 5\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err, err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and repr(str(out / "snap_t0.csv")) in lines[0], err
+    assert f"killed by signal {int(signal.SIGKILL)}" in lines[0], err
+    assert not (out / "snap_t50000.csv").exists()
+    assert forked
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # reaped already
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestReproducibility:
@@ -545,20 +592,21 @@ class TestReproducibility:
 
 # Runs one subcommand in a fresh interpreter and prints its exit code, whether
 # scipy and scipy.linalg are loaded, how many LAPACK modules kernels._lapack loaded,
-# whether the process pool is loaded, and the peak RSS (VmHWM) in kB, or -1
-# where /proc/self/status does not give it.
+# whether a process pool's modules are loaded, and the peak RSS (VmHWM) in kB, or -1
+# where /proc/self/status does not give it. Two usable CPUs are assumed, so that
+# simulate forks its snapshot writers on any machine.
 _IMPORT_PROBE = """\
 import sys
-from gutpatterns import kernels
-from gutpatterns.cli import main
-code = main(sys.argv[1:])
+from gutpatterns import cli, kernels
+cli._usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
 try:
     with open("/proc/self/status") as status:
         hwm = next((line.split()[1] for line in status if line.startswith("VmHWM:")), -1)
 except OSError:
     hwm = -1
-print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules,
-      kernels._lapack.cache_info().currsize, "concurrent.futures.process" in sys.modules, hwm)
+print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules, kernels._lapack.cache_info().currsize,
+      "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules, hwm)
 """
 
 
@@ -587,11 +635,11 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapac
     # Only the diffusion solve needs LAPACK, which kernels._lapack loads from scipy's
     # extension module in ~0.03 s and ~1.5 MB, so only simulate imports scipy at all;
     # importing scipy.linalg would cost another ~0.2 s and ~27 MB, so no subcommand may.
-    # The process pool (~21 ms to import) is loaded only to write a run's snapshots on several CPUs.
-    loads_pool = subcommand == "simulate" and cli._usable_cpus() > 1
+    # simulate's snapshot writers are plain forks: no subcommand loads
+    # concurrent.futures or multiprocessing (~21 ms and ~1.3 MB).
     code, scipy_, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
     assert (code, scipy_, linalg, int(loads), pool) == (
-        "0", str(loads_lapack), "False", int(loads_lapack), str(loads_pool))
+        "0", str(loads_lapack), "False", int(loads_lapack), "False")
 
 
 def _has_vm_hwm():
@@ -604,20 +652,22 @@ def _has_vm_hwm():
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_simulate_peak_memory_close_to_steady(tmp_path):
     # steady loads numpy and the package; a small simulate adds LAPACK, a few fields
-    # and its writers, ~4-6 MB. Importing scipy.linalg would add ~27 MB more.
+    # and its writers, ~5.0 MB on Linux with numpy 2.4 and scipy 1.17. A process
+    # pool for the writers added ~1.3 MB more, and importing scipy.linalg ~27 MB.
     steady = int(_probe(tmp_path, "steady", "")[-1])
     simulate = int(_probe(tmp_path, "simulate", SMALL_SIM)[-1])
-    assert simulate - steady < 12 * 1024, (steady, simulate)
+    assert simulate - steady < 5.75 * 1024, (steady, simulate)
 
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_dispersion_peak_memory_close_to_steady(tmp_path):
-    # 200000 samples are two 1.6 MB columns, which the CSV writer formats a
-    # block of rows at a time; formatting them whole held ~36 MB of floats,
-    # template and text at once
+    # 200000 samples are two 1.6 MB columns. growth_rate evaluates them a
+    # block at a time and the CSV writer formats a block of rows at a time:
+    # ~7.2 MB over steady. The whole-array growth rate held ~6 sample-sized
+    # temporaries at once (~12 MB over steady), whole columns ~36 MB.
     steady = int(_probe(tmp_path, "steady", "")[-1])
     dispersion = int(_probe(tmp_path, "dispersion", "xi2_samples = 200000\n")[-1])
-    assert dispersion - steady < 20 * 1024, (steady, dispersion)
+    assert dispersion - steady < 9.5 * 1024, (steady, dispersion)
 
 
 # perfbench/child.py times a traced benchmark run by replacing functions in

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gutpatterns import stability
 from gutpatterns import (
     ConsistencyError,
     Jacobian2x2,
@@ -135,6 +136,28 @@ class TestDispersion:
         j = jac_table1
         eig = np.linalg.eigvals([[j.m11, j.m12], [j.m21, j.m22]])
         assert growth_rate(p_table1, j, 0.0) == pytest.approx(max(eig.real), abs=1e-12)
+
+    # growth_rate evaluates an array a block at a time; each sample must come
+    # out bit for bit as the whole-array formula gives it, on both sides of
+    # disc = 0 (complex roots below xi2 ~ 1.4e8 for Table 1, real above)
+    @pytest.mark.parametrize("xi2", [
+        0.0, 1e6, 6.68e9, 1e13,
+        np.geomspace(1e3, 1e15, 2 * stability._GROWTH_RATE_BLOCK + 3),
+        np.geomspace(1e3, 1e15, 30).reshape(3, 10),
+    ], ids=["zero", "complex", "peak", "real", "three-blocks", "2-d"])
+    def test_growth_rate_matches_whole_array_formula(self, p_table1, jac_table1, xi2):
+        p, j = p_table1, jac_table1
+        x = np.asarray(xi2, dtype=float)
+        a1 = -j.trace + (p.d_b + p.d_c) * x
+        a2 = j.det - (j.m11 * p.d_c + j.m22 * p.d_b) * x + p.d_b * p.d_c * x**2
+        disc = a1 * a1 - 4.0 * a2
+        expected = np.where(disc >= 0.0, 0.5 * (-a1 + np.sqrt(np.maximum(disc, 0.0))), -0.5 * a1)
+        rates = growth_rate(p, j, xi2)
+        if x.ndim == 0:
+            assert type(rates) is float and rates == float(expected)
+        else:
+            assert (disc < 0.0).any() and (disc >= 0.0).any()
+            assert rates.shape == x.shape and rates.tobytes() == expected.tobytes()
 
     def test_taylor_forms_agree(self, p_table1, jac_table1):
         lam_minus, lam_plus = band_edges(p_table1, jac_table1)
