@@ -12,8 +12,8 @@ simulate starts them at its first snapshot, made after ``solver.simulate``
 checks every input, and a failed run keeps its manifest and earlier snapshots.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
-violation, an output that could not be written or memory that could not be
-allocated.
+violation, a LAPACK that could not be loaded, an output that could not be
+written or memory that could not be allocated.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     write after it ends or at the end of the with-block, which waits for every
     child and lets its own error through unchanged. A child killed by a signal
     or exiting non-zero without a report is an OSError naming its file."""
-    import select  # only here: the other subcommands never load it, simulate has it from scipy
+    import select  # only here, so the other subcommands never load it
     k = min(_usable_cpus(), n_snapshots) if hasattr(os, "fork") else 1
     children = {}  # pid -> (read end of its report pipe, the file it writes)
 
@@ -423,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvariantError, ConsistencyError) as exc:
+    except (InvariantError, ConsistencyError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -16,8 +16,8 @@ class CalibrationError(GutPatternsError, ValueError):
 class ConsistencyError(GutPatternsError, RuntimeError):
     """Two independent computations of the same quantity disagree.
 
-    Raised when a cross-check fails (e.g. bisection root vs closed-form
-    root). Always signals an implementation bug, never bad user input.
+    Raised when a cross-check fails (e.g. the Turing condition value vs
+    M11). Always signals an implementation bug, never bad user input.
     """
 
 

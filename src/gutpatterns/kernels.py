@@ -1,4 +1,4 @@
-"""Time-stepping kernel: one semi-implicit update in numpy/scipy.
+"""Time-stepping kernel: one semi-implicit update in numpy and LAPACK.
 
 The update acts on carrying-capacity-scaled fields b = beta/b_i,
 g = gamma/b_i:
@@ -24,62 +24,109 @@ into a caller-owned work array with ``out=`` and in-place ufuncs, and
 ``dpttrs`` solves in place on the right-hand sides it leaves there.
 
 LAPACK is loaded by :func:`factor`, not here, so the subcommands that
-never step do not pay for loading it. :func:`_lapack` imports the
-top-level ``scipy`` package, which sets up its bundled libraries, and then
-loads scipy's LAPACK extension module ``scipy.linalg._flapack`` straight
-from its file, so the package init of ``scipy.linalg`` (hundreds of Python
-modules, ~0.2 s and ~27 MB) never runs. ``dpttrf`` and ``dpttrs`` are the
-same compiled routines that ``scipy.linalg.lapack`` exports.
+never step do not pay for loading it. :func:`_lapack` takes ``dpttrf`` and
+``dpttrs`` from the LAPACK that numpy itself links: it opens numpy's
+already loaded extension module ``numpy.linalg._umath_linalg`` with
+``ctypes``, and on Linux and macOS the dynamic loader's symbol lookup
+also searches that module's dependencies, numpy's bundled OpenBLAS among
+them. numpy imports ``ctypes`` and that module itself, so no module and
+no library is loaded for it, and scipy is never imported. The routines
+are called through ``ctypes``, which checks no argument, so :func:`factor`
+checks a right-hand side once, when a solve is bound to it, and the solve
+reuses the addresses it recorded then.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
-import os
+from collections.abc import Callable
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, ParameterError
+
+# The names of dpttrf in the LAPACK builds numpy may link, in the order
+# tried (dpttrs is spelled alike), with the C type of their INTEGERs.
+_CANDIDATES = (
+    ("scipy_{}_64_", ctypes.c_int64),  # numpy >= 2.0 wheels: scipy-openblas, 64-bit integers
+    ("{}_64_", ctypes.c_int64),        # numpy 1.24-1.26 wheels: OpenBLAS, 64-bit integers
+    ("{}_", ctypes.c_int),             # a system or conda LAPACK with 32-bit integers
+)
 
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK extension module, loaded without ``scipy.linalg``."""
-    import scipy
+    """``(dpttrf, dpttrs, integer)`` from the LAPACK that numpy links, with
+    ``integer`` the ctypes type of their INTEGER arguments."""
+    from numpy.linalg import _umath_linalg
 
-    name = "scipy.linalg._flapack"
-    path = [os.path.join(entry, "linalg") for entry in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec(name, path)
-    if spec is None:
-        raise ImportError(f"cannot find {name} in {path}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    path = _umath_linalg.__file__
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        raise ImportError(f"cannot open numpy's {path} for its LAPACK: {exc}") from exc
+    for template, integer in _CANDIDATES:
+        try:
+            dpttrf, dpttrs = (getattr(lib, template.format(name)) for name in ("dpttrf", "dpttrs"))
+        except AttributeError:
+            continue
+        # no argtypes: converting through them costs ~2 us a call, 2% of a
+        # canonical step; factor builds every argument but the right-hand
+        # side, which bind checks
+        dpttrf.restype = dpttrs.restype = None
+        return dpttrf, dpttrs, integer
+    tried = ", ".join(template.format("dpttrf") + "/" + template.format("dpttrs")
+                      for template, _ in _CANDIDATES)
+    raise ImportError(f"no LAPACK dpttrf/dpttrs found through numpy's {path}: tried {tried}")
 
 
-def factor(n: int, mu_b: float, mu_c: float) -> functools.partial:
+def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+    """The address of ``a``'s data; the pointer keeps ``a`` alive."""
+    return a.ctypes.data_as(ctypes.c_void_p)
+
+
+def factor(n: int, mu_b: float, mu_c: float) -> Callable[[np.ndarray], Callable[[], None]]:
     """Factor both fields' row-scaled n-node matrices ``I - mu*L`` at once.
 
-    ``mu_b`` and ``mu_c`` already include ``dt``. Returns the solve: a
-    callable that overwrites a contiguous 2n right-hand side (bacteria
-    first, end entries halved) with the solution.
+    ``mu_b`` and ``mu_c`` already include ``dt``. Returns ``bind``:
+    ``bind(rhs)`` checks that ``rhs`` is a writeable C-contiguous float64
+    array of 2n values, bacteria first with end entries halved, else raises
+    ValueError, and returns the solve, a callable without arguments that
+    overwrites ``rhs`` with the solution. Bind each work array once: the
+    solve reuses the addresses recorded at binding, so it neither checks
+    nor looks up anything.
     """
-    lapack = _lapack()
+    dpttrf, dpttrs, integer = _lapack()
+    size = integer(2 * n)
+    if size.value != 2 * n:
+        raise ParameterError(f"n_points={n}: 2*n_points overflows this LAPACK's {integer.__name__}")
     mu = np.repeat([mu_b, mu_c], n)
     d = 1.0 + 2.0 * mu
     ends = [0, n - 1, n, 2 * n - 1]
     d[ends] = 0.5 + mu[ends]
     e = -mu[:-1]
     e[n - 1] = 0.0  # the two fields do not couple through diffusion
-    d, e, info = lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-    if info != 0:
+    d_factor, e_factor, info = _pointer(d), _pointer(e), integer(0)
+    dpttrf(ctypes.byref(size), d_factor, e_factor, ctypes.byref(info))  # in place
+    if info.value != 0:
         raise InvariantError(
             f"diffusion matrix is not positive definite "
-            f"(LAPACK dpttrf info={info}, mu_b={mu_b!r}, mu_c={mu_c!r})"
+            f"(LAPACK dpttrf info={info.value}, mu_b={mu_b!r}, mu_c={mu_c!r})"
         )
-    return functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
+    one = ctypes.byref(integer(1))
+
+    def bind(rhs: np.ndarray) -> Callable[[], None]:
+        if not (isinstance(rhs, np.ndarray) and rhs.dtype == np.float64 and rhs.size == 2 * n
+                and rhs.flags.c_contiguous and rhs.flags.writeable):
+            raise ValueError(f"a right-hand side must be a writeable C-contiguous float64 array "
+                             f"of {2 * n} values")
+        # dpttrs(N, NRHS, D, E, B, LDB, INFO); with the checks above and a
+        # factorization that succeeded, INFO can only be 0
+        return functools.partial(dpttrs, ctypes.byref(size), one, d_factor, e_factor,
+                                 _pointer(rhs), ctypes.byref(size), ctypes.byref(integer(0)))
+
+    return bind
 
 
 def work_array(n: int) -> np.ndarray:
@@ -88,13 +135,14 @@ def work_array(n: int) -> np.ndarray:
 
 
 def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, work):
-    """One step of both fields; ``solve`` comes from :func:`factor`.
+    """One step of both fields.
 
-    Every intermediate is written into ``work`` (from :func:`work_array`),
-    and the two returned fields are its first two rows, so ``b`` and ``g``
-    must not share memory with it. The operations and their order are those
-    of ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)``
-    and ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, so the
+    ``solve`` is :func:`factor`'s ``bind`` applied to ``work[:2]``. Every
+    intermediate is written into ``work`` (from :func:`work_array`), and the
+    two returned fields are its first two rows, so ``b`` and ``g`` must not
+    share memory with it. The operations and their order are those of
+    ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)`` and
+    ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, so the
     right-hand sides are bitwise those of the expressions.
     """
     rhs_b, rhs_g, logistic, tmp = work
@@ -117,5 +165,5 @@ def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, work):
     rhs_g *= dt
     rhs_g += g
     work[:2, ::work.shape[1] - 1] *= 0.5  # the end rows, halved like those of the matrices
-    solve(work[:2].reshape(-1))       # rows 0 and 1 are contiguous: a view, solved in place
+    solve()                           # rows 0 and 1, in place
     return rhs_b, rhs_g

@@ -16,16 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, ConsistencyError, ParameterError
+from .errors import CalibrationError, ParameterError
 
 # Fields that must be strictly positive; the remaining rates (r_b, a, f_e)
 # may be zero so that degenerate limits (no growth / no predation / no
 # feedback) stay expressible.
 _STRICT = ("r_c", "d_b", "d_c", "b_i", "f_b", "s_b")
 _NONNEG = ("r_b", "a", "f_e")
-
-REL_TOL_ROOT = 1e-12     # bisection convergence, relative
-REL_TOL_CROSSCHECK = 1e-9  # bisection vs closed-form agreement
 
 # The largest node or sample count: numpy arrays hold at most sys.maxsize
 # bytes, and the solver holds both float64 fields of n_points nodes in one.
@@ -169,8 +166,8 @@ def _quadratic_root(p: ModelParams) -> float:
 def steady_state(p: ModelParams) -> Equilibrium:
     """Unique positive homogeneous steady state.
 
-    Found by bisection on (0, b_i), cross-checked against the closed-form
-    quadratic root, then Newton-polished to machine precision. With a = 0
+    The closed-form quadratic root, Newton-polished to machine precision
+    (the tests check it against a bisection of the residual). With a = 0
     (or f_b = 0) predation vanishes and the logistic root beta = b_i is
     returned exactly.
     """
@@ -183,25 +180,9 @@ def steady_state(p: ModelParams) -> Equilibrium:
     if R == 0.0:
         raise ParameterError("no positive steady state: growth terms all vanish")
 
-    # Bisection: residual is strictly decreasing, positive at 0+, negative at 1.
-    lo, hi = 0.0, 1.0
-    while hi - lo > REL_TOL_ROOT * hi:
-        mid = 0.5 * (lo + hi)
-        if _equilibrium_residual(p, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_bis = 0.5 * (lo + hi)
-
-    x_quad = _quadratic_root(p)
-    if abs(x_bis - x_quad) > REL_TOL_CROSSCHECK * max(x_bis, x_quad):
-        raise ConsistencyError(
-            f"steady-state solvers disagree: bisection {x_bis!r} vs quadratic {x_quad!r}"
-        )
-
     # Newton polish from the closed-form root.
     s = p.s_b / p.b_i
-    x = x_quad
+    x = _quadratic_root(p)
     for _ in range(3):
         f = _equilibrium_residual(p, x)
         df = -R - ak * s / (s + x) ** 2

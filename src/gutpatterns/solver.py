@@ -162,9 +162,9 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
 class _Integrator:
     """Steps scaled fields for one (p, dom, dt).
 
-    Holds what stays fixed over a run: ``s = s_b/b_i``, the solve of both
-    fields' diffusion matrices, factored together once by
-    :func:`kernels.factor`, and two kernel work arrays. Each step writes
+    Holds what stays fixed over a run: ``s = s_b/b_i`` and two kernel work
+    arrays, each with the solve of both fields' diffusion matrices, factored
+    together once by :func:`kernels.factor`, bound to it. Each step writes
     into the work array its input did not come from, so a step's output,
     the next step's input, is never overwritten while it is read; it stays
     valid until the step after next.
@@ -179,8 +179,9 @@ class _Integrator:
         self.p = p
         self.dt = dt
         self.s = _scaled_saturation(p)
-        self.solve = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
-        self.work = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
+        bind = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
+        works = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
+        self.work = tuple((work, bind(work[:2])) for work in works)
 
     def advance(self, b, g, t_next):
         """Return the scaled fields one step on, checked and clamped at ``t_next``.
@@ -188,9 +189,10 @@ class _Integrator:
         The result lives in a work array that the step after next reuses.
         """
         p = self.p
-        work, spare = self.work
-        self.work = (spare, work)
-        b_new, g_new = kernels.step_arrays(b, g, self.dt, self.solve,
+        current, spare = self.work
+        self.work = (spare, current)
+        work, solve = current
+        b_new, g_new = kernels.step_arrays(b, g, self.dt, solve,
                                            p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c, work)
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gutpatterns import Domain1D, SimConfig, jacobian, simulate, steady_state, table1_params
+from gutpatterns import Domain1D, SimConfig, jacobian, kernels, simulate, steady_state, table1_params
 
 FIG2_DOMAIN = Domain1D(length=0.03, n_points=3000)
 FIG2_CFG = SimConfig(t_end=20160.0, dt=1.0, snapshot_every=1440.0)
@@ -57,3 +57,13 @@ def domain():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture()
+def no_lapack_name_resolves(monkeypatch):
+    """Make no candidate name of kernels._lapack resolve; yields the names tried."""
+    candidates = [("no_such_" + template, integer) for template, integer in kernels._CANDIDATES]
+    monkeypatch.setattr(kernels, "_CANDIDATES", candidates)
+    kernels._lapack.cache_clear()
+    yield [template.format(name) for template, _ in candidates for name in ("dpttrf", "dpttrs")]
+    kernels._lapack.cache_clear()

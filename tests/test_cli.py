@@ -526,6 +526,17 @@ def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
             write(state)
 
 
+def test_unloadable_lapack_fails_with_one_error_line(tmp_path, capsys, no_lapack_name_resolves):
+    # as on a platform whose dynamic loader finds none of the names in numpy's LAPACK
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    cfg.write_text(SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(name in err[0] for name in no_lapack_name_resolves), err
+    assert not out.exists()
+
+
 def test_killed_writer_fails_with_one_error_line(tmp_path, capfd, monkeypatch):
     # the child writing snap_t0.csv kills itself before it writes; the run
     # stops with one error line naming that file and leaves no child behind
@@ -591,7 +602,7 @@ class TestReproducibility:
 
 
 # Runs one subcommand in a fresh interpreter and prints its exit code, whether
-# scipy and scipy.linalg are loaded, how many LAPACK modules kernels._lapack loaded,
+# scipy and scipy.linalg are loaded, how many LAPACKs kernels._lapack loaded,
 # whether a process pool's modules are loaded, and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it. Two usable CPUs are assumed, so that
 # simulate forks its snapshot writers on any machine.
@@ -632,14 +643,13 @@ def _probe(tmp_path, subcommand, config):
     ("simulate", SMALL_SIM, True),
 ])
 def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapack):
-    # Only the diffusion solve needs LAPACK, which kernels._lapack loads from scipy's
-    # extension module in ~0.03 s and ~1.5 MB, so only simulate imports scipy at all;
-    # importing scipy.linalg would cost another ~0.2 s and ~27 MB, so no subcommand may.
-    # simulate's snapshot writers are plain forks: no subcommand loads
-    # concurrent.futures or multiprocessing (~21 ms and ~1.3 MB).
+    # Only the diffusion solve needs LAPACK, and only simulate looks it up, in the
+    # LAPACK numpy already loaded, so no subcommand imports scipy: its top-level
+    # package and its LAPACK extension cost ~23 ms and ~3.5 MB, and scipy.linalg
+    # another ~0.2 s and ~27 MB. simulate's snapshot writers are plain forks: no
+    # subcommand loads concurrent.futures or multiprocessing (~21 ms and ~1.3 MB).
     code, scipy_, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
-    assert (code, scipy_, linalg, int(loads), pool) == (
-        "0", str(loads_lapack), "False", int(loads_lapack), "False")
+    assert (code, scipy_, linalg, int(loads), pool) == ("0", "False", "False", int(loads_lapack), "False")
 
 
 def _has_vm_hwm():
@@ -651,12 +661,13 @@ def _has_vm_hwm():
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_simulate_peak_memory_close_to_steady(tmp_path):
-    # steady loads numpy and the package; a small simulate adds LAPACK, a few fields
-    # and its writers, ~5.0 MB on Linux with numpy 2.4 and scipy 1.17. A process
-    # pool for the writers added ~1.3 MB more, and importing scipy.linalg ~27 MB.
+    # steady loads numpy and the package; a small simulate adds a few fields and its
+    # writers, 1.4-1.6 MB on Linux with numpy 2.4. Taking LAPACK from scipy's
+    # extension module added ~3.4 MB more, a process pool for the writers ~1.3 MB
+    # and importing scipy.linalg ~27 MB.
     steady = int(_probe(tmp_path, "steady", "")[-1])
     simulate = int(_probe(tmp_path, "simulate", SMALL_SIM)[-1])
-    assert simulate - steady < 5.75 * 1024, (steady, simulate)
+    assert simulate - steady < 2.5 * 1024, (steady, simulate)
 
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")

@@ -13,7 +13,23 @@ from gutpatterns import (
     table1_params,
     with_calibrated_fe,
 )
-from gutpatterns.params import _equilibrium_residual
+from gutpatterns.params import _equilibrium_residual, _quadratic_root
+
+REL_TOL_ROOT = 1e-12       # bisection convergence, relative
+REL_TOL_CROSSCHECK = 1e-9  # bisection vs closed-form agreement
+
+
+def bisection_root(p):
+    """The residual's root in (0, 1) by bisection: the residual is strictly
+    decreasing, positive at 0+ and negative at 1."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > REL_TOL_ROOT * hi:
+        mid = 0.5 * (lo + hi)
+        if _equilibrium_residual(p, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def random_params(rng):
@@ -104,8 +120,11 @@ class TestSteadyState:
     def test_randomized_interior_root(self, rng):
         for _ in range(200):
             p = random_params(rng)
-            eq = steady_state(p)  # raises ConsistencyError on solver disagreement
+            eq = steady_state(p)
             assert 0.0 < eq.beta_bar < p.b_i
+            x_bis, x_quad = bisection_root(p), _quadratic_root(p)
+            assert abs(x_bis - x_quad) <= REL_TOL_CROSSCHECK * max(x_bis, x_quad)
+            assert abs(x_bis - eq.theta) <= REL_TOL_CROSSCHECK * max(x_bis, eq.theta)
             res = _equilibrium_residual(p, eq.theta)
             assert abs(res) / (p.r_b + p.f_e * p.kappa) < 1e-10
 
