@@ -9,6 +9,8 @@ clamped, anything larger raises InvariantError.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -59,7 +61,10 @@ class SimConfig:
 
     ``ic`` selects between a localized bacterial spot on an empty background
     ("spot") and a relative-noise perturbation of the homogeneous equilibrium
-    ("perturbation", deterministic for a fixed seed).
+    ("perturbation"). The perturbation's draws come from the standard
+    library's ``random.Random(seed)``, whose sequence for a seed Python keeps
+    the same across versions, so a seed gives the same initial fields on
+    every supported Python and numpy. ``seed`` is a non-negative integer.
     """
 
     dt: float = 1.0
@@ -97,8 +102,13 @@ class SimConfig:
                 f"noise_rel must be <= 1 for a perturbation (larger draws negative densities), "
                 f"got {self.noise_rel!r}"
             )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def _is_multiple(span: float, dt: float) -> bool:
@@ -119,19 +129,26 @@ def max_stable_dt(p: ModelParams) -> float:
 
 
 def initial_state(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> FieldState:
-    """Build the initial fields; physical units."""
-    x = dom.x()
+    """Build the initial fields; physical units.
+
+    The perturbation multiplies each equilibrium density by
+    ``1 + noise_rel * (-1 + 2u)``, with u the next ``random.Random(seed).random()``:
+    the first n draws go to beta, the next n to gamma.
+    """
+    n = dom.n_points
     if cfg.ic == "spot":
-        beta = np.full(dom.n_points, cfg.background, dtype=float)
-        beta[np.abs(x - cfg.spot_center) <= cfg.spot_half_width] = cfg.spot_amplitude
-        gamma = np.zeros(dom.n_points)
+        beta = np.full(n, cfg.background, dtype=float)
+        beta[np.abs(dom.x() - cfg.spot_center) <= cfg.spot_half_width] = cfg.spot_amplitude
+        gamma = np.zeros(n)
     else:
         from .params import steady_state
 
         eq = steady_state(p)
-        rng = np.random.default_rng(cfg.seed)
-        beta = eq.beta_bar * (1.0 + cfg.noise_rel * rng.uniform(-1.0, 1.0, dom.n_points))
-        gamma = eq.gamma_bar * (1.0 + cfg.noise_rel * rng.uniform(-1.0, 1.0, dom.n_points))
+        # random() never returns the sentinel -1.0
+        u = np.fromiter(iter(random.Random(cfg.seed).random, -1.0), float, 2 * n)
+        draw = -1.0 + 2.0 * u
+        beta = eq.beta_bar * (1.0 + cfg.noise_rel * draw[:n])
+        gamma = eq.gamma_bar * (1.0 + cfg.noise_rel * draw[n:])
     if np.any(beta >= p.b_i):
         raise ParameterError("initial bacterial density must stay below b_i")
     return FieldState(time=0.0, beta=beta, gamma=gamma)

@@ -603,7 +603,8 @@ class TestReproducibility:
 
 # Runs one subcommand in a fresh interpreter and prints its exit code, whether
 # scipy and scipy.linalg are loaded, how many LAPACKs kernels._lapack loaded,
-# whether a process pool's modules are loaded, and the peak RSS (VmHWM) in kB, or -1
+# whether a process pool's modules are loaded, whether numpy.random is loaded,
+# and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it. Two usable CPUs are assumed, so that
 # simulate forks its snapshot writers on any machine.
 _IMPORT_PROBE = """\
@@ -617,7 +618,8 @@ try:
 except OSError:
     hwm = -1
 print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules, kernels._lapack.cache_info().currsize,
-      "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules, hwm)
+      "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules,
+      "numpy.random" in sys.modules, hwm)
 """
 
 
@@ -641,6 +643,7 @@ def _probe(tmp_path, subcommand, config):
     ("dispersion", "", False),
     ("scan", "r_c_steps = 12\na_steps = 10\n", False),
     ("simulate", SMALL_SIM, True),
+    ("simulate", SMALL_SIM + "ic = perturbation\n", True),
 ])
 def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapack):
     # Only the diffusion solve needs LAPACK, and only simulate looks it up, in the
@@ -648,8 +651,12 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapac
     # package and its LAPACK extension cost ~23 ms and ~3.5 MB, and scipy.linalg
     # another ~0.2 s and ~27 MB. simulate's snapshot writers are plain forks: no
     # subcommand loads concurrent.futures or multiprocessing (~21 ms and ~1.3 MB).
-    code, scipy_, linalg, loads, pool, _ = _probe(tmp_path, subcommand, config)
-    assert (code, scipy_, linalg, int(loads), pool) == ("0", "False", "False", int(loads_lapack), "False")
+    # The perturbation IC draws from the standard library's random.Random, so no
+    # subcommand loads numpy.random, which brings hashlib and OpenSSL's libcrypto
+    # (~5.6 MB).
+    code, scipy_, linalg, loads, pool, np_random, _ = _probe(tmp_path, subcommand, config)
+    assert (code, scipy_, linalg, int(loads), pool, np_random) == (
+        "0", "False", "False", int(loads_lapack), "False", "False")
 
 
 def _has_vm_hwm():
@@ -662,12 +669,14 @@ def _has_vm_hwm():
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_simulate_peak_memory_close_to_steady(tmp_path):
     # steady loads numpy and the package; a small simulate adds a few fields and its
-    # writers, 1.4-1.6 MB on Linux with numpy 2.4. Taking LAPACK from scipy's
-    # extension module added ~3.4 MB more, a process pool for the writers ~1.3 MB
-    # and importing scipy.linalg ~27 MB.
+    # writers, 1.5-1.8 MB on Linux with numpy 2.4, from either initial condition.
+    # Taking LAPACK from scipy's extension module added ~3.4 MB more, a process
+    # pool for the writers ~1.3 MB, importing scipy.linalg ~27 MB, and drawing the
+    # perturbation from numpy.random ~5.6 MB.
     steady = int(_probe(tmp_path, "steady", "")[-1])
-    simulate = int(_probe(tmp_path, "simulate", SMALL_SIM)[-1])
-    assert simulate - steady < 2.5 * 1024, (steady, simulate)
+    for config in (SMALL_SIM, SMALL_SIM + "ic = perturbation\n"):
+        simulate = int(_probe(tmp_path, "simulate", config)[-1])
+        assert simulate - steady < 2.5 * 1024, (config, steady, simulate)
 
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestSimConfig:
     def test_negative_seed(self):
         with pytest.raises(ParameterError, match="seed"):
             SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", seed=-1)
+
+    def test_seed_must_be_an_integer(self, p_table1):
+        # np.int64 is an integer and seeds like the int it equals
+        for seed in (1.5, "3"):
+            with pytest.raises(ParameterError, match="seed"):
+                SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", seed=seed)
+        dom = Domain1D(length=0.004, n_points=16)
+        cfg = SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", seed=np.int64(3))
+        assert type(cfg.seed) is int
+        ref = initial_state(p_table1, dom, replace(cfg, seed=3))
+        got = initial_state(p_table1, dom, cfg)
+        assert np.array_equal(got.beta, ref.beta) and np.array_equal(got.gamma, ref.gamma)
 
     def test_perturbation_noise_above_one_rejected(self):
         with pytest.raises(ParameterError, match="noise_rel"):
@@ -276,6 +289,23 @@ class TestSimulate:
         assert np.array_equal(a.gamma, b.gamma)
         eq = steady_state(p_table1)
         assert np.max(np.abs(a.beta / eq.beta_bar - 1.0)) <= cfg.noise_rel
+
+    def test_perturbation_ic_is_pythons_random_stream(self, p_table1):
+        # A plain loop over random.Random(seed).random(): the first n draws
+        # perturb beta, the next n gamma. Python keeps a seed's stream the same
+        # across versions and numpy does not enter it, so the pinned reprs hold
+        # on every supported Python and numpy.
+        n = 16
+        dom = Domain1D(length=0.004, n_points=n)
+        cfg = SimConfig(t_end=10.0, snapshot_every=10.0, ic="perturbation", noise_rel=0.01, seed=7)
+        eq = steady_state(p_table1)
+        rng = random.Random(7)
+        draws = [-1.0 + 2.0 * rng.random() for _ in range(2 * n)]
+        s = initial_state(p_table1, dom, cfg)
+        assert s.beta.tolist() == [eq.beta_bar * (1.0 + cfg.noise_rel * d) for d in draws[:n]]
+        assert s.gamma.tolist() == [eq.gamma_bar * (1.0 + cfg.noise_rel * d) for d in draws[n:]]
+        assert repr(s.beta[0].item()) == "2.9894299658899908e+16"
+        assert repr(s.gamma[-1].item()) == "2992343852563545.0"
 
     def test_spot_ic_above_capacity_rejected(self, p_table1, domain):
         cfg = SimConfig(t_end=10.0, dt=1.0, snapshot_every=10.0,
