@@ -47,7 +47,8 @@ def _is_flat(b: np.ndarray) -> bool:
 
     A flat field has neither peaks nor a dominant wavelength.
     """
-    return b.max() - b.min() <= FLAT_FIELD_RTOL * np.abs(b).max()
+    b_max, b_min = b.max(), b.min()
+    return b_max - b_min <= FLAT_FIELD_RTOL * max(abs(b_max), abs(b_min))
 
 
 def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
@@ -61,22 +62,23 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     if not 0.0 < rel_threshold < 1.0:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
     b = np.asarray(s.beta, dtype=float)
-    n = b.shape[0]
-    x = dom.x()
     peak_max = b.max()
     if peak_max <= 0.0 or _is_flat(b):
         return 0, []
     threshold = rel_threshold * peak_max
-    # Runs of equal values: starts[k]..ends[k] is run k, heights[k] its value.
-    change = np.flatnonzero(b[1:] != b[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [n - 1]))
-    heights = b[starts]
+    # Runs of equal values: run k covers starts[k] to starts[k + 1] - 1, and
+    # heights[k] is its value; the last of starts is n.
+    starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1], [True])))
+    heights = b[starts[:-1]]
     # A run is a peak when both neighbouring runs are lower; a boundary run
-    # has only one neighbour, so the -inf padding stands in for the other.
-    padded = np.concatenate(([-np.inf], heights, [-np.inf]))
-    peak = (heights > threshold) & (padded[:-2] < heights) & (padded[2:] < heights)
-    positions = (0.5 * (x[starts[peak]] + x[ends[peak]])).tolist()
+    # has only one neighbour.
+    peak = heights > threshold
+    peak[1:] &= heights[:-1] < heights[1:]
+    peak[:-1] &= heights[1:] < heights[:-1]
+    k = np.flatnonzero(peak)
+    del heights, peak
+    x = dom.x()
+    positions = (0.5 * (x[starts[k]] + x[starts[k + 1] - 1])).tolist()
     return len(positions), positions
 
 
@@ -91,13 +93,13 @@ def dominant_wavelength(s: FieldState, dom: Domain1D) -> tuple[float, float]:
         raise ParameterError(f"need at least 16 nodes, got {n}")
     if _is_flat(b):
         raise DegenerateSpectrumError("field is flat; no dominant wavelength")
-    dev = b - b.mean()
-    # even extension: [d0..d_{n-1}, d_{n-2}..d_1], period 2(n-1)*dx
-    ext = np.concatenate([dev, dev[-2:0:-1]])
-    spectrum = np.abs(np.fft.rfft(ext))
-    k = int(np.argmax(spectrum[1:])) + 1
-    length = dom.length
-    xi = math.pi * k / length
+    # even extension of b - mean: [d0..d_{n-1}, d_{n-2}..d_1], period 2(n-1)*dx
+    ext = np.concatenate([b, b[-2:0:-1]])
+    ext -= b.mean()
+    spectrum = np.fft.rfft(ext)
+    del ext  # before the amplitudes are made
+    k = int(np.argmax(np.abs(spectrum[1:]))) + 1
+    xi = math.pi * k / dom.length
     return xi * xi, 2.0 * math.pi / xi
 
 

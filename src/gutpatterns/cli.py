@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .errors import (
 from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
 from .scan import ScanGrid, Verdict, scan_region
 from .solver import Domain1D, FieldState, SimConfig, simulate, snapshot_times
-from .stability import DISPERSION_SAMPLES, dispersion, jacobian, turing_classify
+from .stability import DISPERSION_SAMPLES, band_edges, dispersion, jacobian, turing_classify
 
 
 # Every config key with its default, in manifest order. A key's type is that
@@ -273,46 +274,38 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     try:
         yield write
     finally:
+        _snapshot_rows.cache_clear()
         errors = [_reap(pid, *child) for pid, child in children.items()]
     for error in filter(None, errors):
         raise error
 
 
-# "<code>," per Verdict, indexed by code - min(Verdict); S3 pads the two-byte
-# tokens with a NUL, which write_scan_csv deletes with bytes.translate.
-_VERDICT_OFFSET = -min(Verdict)
-_VERDICT_TOKENS = np.array(
-    [f"{int(Verdict(code))},".encode() for code in range(min(Verdict), max(Verdict) + 1)],
-    dtype="S3",
-)
-
-
 def write_scan_csv(grid: ScanGrid, path: Path) -> None:
     """Header of a values, then one row per r_c: the r_c value and its codes.
 
-    Rows change only where the row index passes some column's threshold, so
-    the cell bytes are built once per range of rows between consecutive
-    distinct thresholds; one row of codes is updated in place as it passes them.
+    Every code is one byte but INFEASIBLE's "-1", and a column is INFEASIBLE
+    in every row or in none, so each code sits at a fixed offset in a row.
+    One row of bytes is kept; as the row index reaches a column's threshold,
+    that column's code is overwritten in place.
     """
-    n_rows = grid.r_c_axis.size
-    order = np.argsort(grid.steps, kind="stable")
-    thresholds = grid.steps[order]
-    above = grid.above[order]
-    codes = np.full(grid.a_axis.size, Verdict.ODE_UNSTABLE, dtype=np.int8)
-    bounds = sorted({0, n_rows, *thresholds.tolist()})
-    r_c = grid.r_c_axis.tolist()
-    with _create(path, "wb", buffering=1 << 20) as f:
+    steps, above = grid.steps.tolist(), grid.above.tolist()
+    if any(step and code == Verdict.INFEASIBLE for step, code in zip(steps, above)):
+        raise ValueError("an INFEASIBLE column must have no ODE_UNSTABLE rows")
+    cells = [str(Verdict.ODE_UNSTABLE.value if step else code) for step, code in zip(steps, above)]
+    # the offset of each column's last byte: each cell ends one byte before its separator
+    offsets = [end - 2 for end in itertools.accumulate(len(cell) + 1 for cell in cells)]
+    row = bytearray(",".join(cells).encode() + b"\n")
+    changes = {}  # row index -> (offset, digit) of each column whose code changes there
+    for step, at, code in zip(steps, offsets, above):
+        if step:
+            changes.setdefault(step, []).append((at, ord("0") + code))
+    with _create(path, "wb", buffering=1 << 16) as f:
         f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
-        passed = 0
-        for start, stop in zip(bounds, bounds[1:]):
-            # the columns whose threshold is `start` take their code from here on
-            now = int(np.searchsorted(thresholds, start, side="right"))
-            codes[order[passed:now]] = above[passed:now]
-            passed = now
-            cells = _VERDICT_TOKENS[codes + _VERDICT_OFFSET].tobytes().translate(None, b"\0")[:-1] + b"\n"
-            for value in r_c[start:stop]:
-                f.write(f"{value!r},".encode())
-                f.write(cells)
+        for i, value in enumerate(grid.r_c_axis.tolist()):
+            for at, digit in changes.get(i, ()):
+                row[at] = digit
+            f.write(f"{value!r},".encode())
+            f.write(row)
 
 
 def _json_safe(value):
@@ -362,7 +355,7 @@ def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
 
 def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     p, eq, j = _linearised(cfg)
-    band = dispersion(p, j).band
+    band = band_edges(p, j)
     dom, sim = cfg.domain(), cfg.sim_config()
     times = snapshot_times(sim)
     _check_snapshot_names(times)

@@ -20,8 +20,9 @@ The zero coupling leaves the factors and the solution of each field
 bitwise those of factoring and solving it alone.
 
 A step allocates no arrays: the reaction update writes its intermediates
-into a caller-owned work array with ``out=`` and in-place ufuncs, and
-``dpttrs`` solves in place on the right-hand sides it leaves there.
+into two caller-owned arrays, a (2, n) output and one n-node scratch row,
+with ``out=`` and in-place ufuncs, and ``dpttrs`` solves in place on the
+right-hand sides it leaves in the output.
 
 LAPACK is loaded by :func:`factor`, not here, so the subcommands that
 never step do not pay for loading it. :func:`_lapack` takes ``dpttrf`` and
@@ -93,7 +94,7 @@ def factor(n: int, mu_b: float, mu_c: float) -> Callable[[np.ndarray], Callable[
     ``bind(rhs)`` checks that ``rhs`` is a writeable C-contiguous float64
     array of 2n values, bacteria first with end entries halved, else raises
     ValueError, and returns the solve, a callable without arguments that
-    overwrites ``rhs`` with the solution. Bind each work array once: the
+    overwrites ``rhs`` with the solution. Bind each output array once: the
     solve reuses the addresses recorded at binding, so it neither checks
     nor looks up anything.
     """
@@ -101,12 +102,12 @@ def factor(n: int, mu_b: float, mu_c: float) -> Callable[[np.ndarray], Callable[
     size = integer(2 * n)
     if size.value != 2 * n:
         raise ParameterError(f"n_points={n}: 2*n_points overflows this LAPACK's {integer.__name__}")
-    mu = np.repeat([mu_b, mu_c], n)
-    d = 1.0 + 2.0 * mu
-    ends = [0, n - 1, n, 2 * n - 1]
-    d[ends] = 0.5 + mu[ends]
-    e = -mu[:-1]
+    d = np.repeat([mu_b, mu_c], n)
+    e = -d[:-1]
     e[n - 1] = 0.0  # the two fields do not couple through diffusion
+    d *= 2.0
+    d += 1.0  # 1 + 2*mu, in place
+    d[[0, n - 1, n, 2 * n - 1]] = [0.5 + mu_b, 0.5 + mu_b, 0.5 + mu_c, 0.5 + mu_c]
     d_factor, e_factor, info = _pointer(d), _pointer(e), integer(0)
     dpttrf(ctypes.byref(size), d_factor, e_factor, ctypes.byref(info))  # in place
     if info.value != 0:
@@ -129,41 +130,38 @@ def factor(n: int, mu_b: float, mu_c: float) -> Callable[[np.ndarray], Callable[
     return bind
 
 
-def work_array(n: int) -> np.ndarray:
-    """A work array for :func:`step_arrays` on ``n`` nodes."""
-    return np.empty((4, n))
-
-
-def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, work):
+def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, out, scratch):
     """One step of both fields.
 
-    ``solve`` is :func:`factor`'s ``bind`` applied to ``work[:2]``. Every
-    intermediate is written into ``work`` (from :func:`work_array`), and the
-    two returned fields are its first two rows, so ``b`` and ``g`` must not
-    share memory with it. The operations and their order are those of
+    ``out`` is a (2, n) C-contiguous array and ``solve`` is :func:`factor`'s
+    ``bind`` applied to it; ``scratch`` is one more n-node row. Every
+    intermediate is written into those two, and the two returned fields are
+    the rows of ``out``, so ``b`` and ``g`` must not share memory with
+    either. The operations and their order are those of
     ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)`` and
-    ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, so the
-    right-hand sides are bitwise those of the expressions.
+    ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, with the
+    predation term computed first, so the right-hand sides are bitwise those
+    of the expressions.
     """
-    rhs_b, rhs_g, logistic, tmp = work
-    np.subtract(1.0, b, out=logistic)
-    np.multiply(r_b, logistic, out=rhs_b)
+    rhs_b, rhs_g = out
+    np.add(s, b, out=rhs_b)
+    np.multiply(a, b, out=scratch)
+    scratch *= g
+    scratch /= rhs_b                  # predation
+    np.subtract(1.0, b, out=rhs_g)    # 1 - b, held in rhs_g until leakage is made
+    np.multiply(r_b, rhs_g, out=rhs_b)
     rhs_b *= b                        # growth
-    np.multiply(f_e, logistic, out=rhs_g)
-    rhs_g *= g                        # leakage, held in rhs_g until it is added
-    np.multiply(a, b, out=tmp)
-    tmp *= g
-    np.add(s, b, out=logistic)        # logistic is not read again
-    tmp /= logistic                   # predation
-    rhs_b -= tmp
-    rhs_b += rhs_g
+    rhs_b -= scratch
+    np.multiply(f_e, rhs_g, out=scratch)
+    scratch *= g                      # leakage
+    rhs_b += scratch
     rhs_b *= dt
     rhs_b += b
     np.multiply(f_b, b, out=rhs_g)
-    np.multiply(r_c, g, out=tmp)
-    rhs_g -= tmp
+    np.multiply(r_c, g, out=scratch)
+    rhs_g -= scratch
     rhs_g *= dt
     rhs_g += g
-    work[:2, ::work.shape[1] - 1] *= 0.5  # the end rows, halved like those of the matrices
-    solve()                           # rows 0 and 1, in place
+    out[:, ::out.shape[1] - 1] *= 0.5  # the end rows, halved like those of the matrices
+    solve()                           # both rows, in place
     return rhs_b, rhs_g

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvariantError, ParameterError
-from .params import ModelParams, check_count
+from .params import ModelParams, check_count, steady_state
 
 CLAMP_TOL = 1e-12          # scaled by b_i
 DT_SAFETY = 0.2            # explicit-reaction stability margin
@@ -141,15 +141,17 @@ def initial_state(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> FieldState:
         beta[np.abs(dom.x() - cfg.spot_center) <= cfg.spot_half_width] = cfg.spot_amplitude
         gamma = np.zeros(n)
     else:
-        from .params import steady_state
-
         eq = steady_state(p)
-        # random() never returns the sentinel -1.0
-        u = np.fromiter(iter(random.Random(cfg.seed).random, -1.0), float, 2 * n)
-        draw = -1.0 + 2.0 * u
-        beta = eq.beta_bar * (1.0 + cfg.noise_rel * draw[:n])
-        gamma = eq.gamma_bar * (1.0 + cfg.noise_rel * draw[n:])
-    if np.any(beta >= p.b_i):
+        # random() never returns the sentinel -1.0; the formula is applied in
+        # place, factor by factor, which gives its bits
+        draw = np.fromiter(iter(random.Random(cfg.seed).random, -1.0), float, 2 * n).reshape(2, n)
+        draw *= 2.0
+        draw -= 1.0
+        draw *= cfg.noise_rel
+        draw += 1.0
+        draw *= [[eq.beta_bar], [eq.gamma_bar]]
+        beta, gamma = draw
+    if beta.max() >= p.b_i:
         raise ParameterError("initial bacterial density must stay below b_i")
     return FieldState(time=0.0, beta=beta, gamma=gamma)
 
@@ -179,12 +181,13 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
 class _Integrator:
     """Steps scaled fields for one (p, dom, dt).
 
-    Holds what stays fixed over a run: ``s = s_b/b_i`` and two kernel work
-    arrays, each with the solve of both fields' diffusion matrices, factored
-    together once by :func:`kernels.factor`, bound to it. Each step writes
-    into the work array its input did not come from, so a step's output,
-    the next step's input, is never overwritten while it is read; it stays
-    valid until the step after next.
+    Holds what stays fixed over a run: ``s = s_b/b_i``, both fields'
+    diffusion matrices, factored together once by :func:`kernels.factor`,
+    and one C-contiguous (5, n) array ``state``: rows 0-1 and 2-3 are two
+    output slots, each with the solve bound to it, and row 4 is a step's
+    scratch row. The steps alternate between the slots, the first writing
+    rows 2-3, so the initial fields may go in rows 0-1. A step's output, the
+    next step's input, is not overwritten until the step after next.
     """
 
     def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
@@ -197,20 +200,20 @@ class _Integrator:
         self.dt = dt
         self.s = _scaled_saturation(p)
         bind = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
-        works = (kernels.work_array(dom.n_points), kernels.work_array(dom.n_points))
-        self.work = tuple((work, bind(work[:2])) for work in works)
+        self.state = np.empty((5, dom.n_points))
+        self.slots = tuple((out, bind(out)) for out in (self.state[2:4], self.state[:2]))
 
     def advance(self, b, g, t_next):
         """Return the scaled fields one step on, checked and clamped at ``t_next``.
 
-        The result lives in a work array that the step after next reuses.
+        The result lives in an output slot that the step after next reuses.
         """
         p = self.p
-        current, spare = self.work
-        self.work = (spare, current)
-        work, solve = current
-        b_new, g_new = kernels.step_arrays(b, g, self.dt, solve,
-                                           p.r_b, p.a, self.s, p.f_e, p.f_b, p.r_c, work)
+        current, spare = self.slots
+        self.slots = (spare, current)
+        out, solve = current
+        b_new, g_new = kernels.step_arrays(b, g, self.dt, solve, p.r_b, p.a, self.s,
+                                           p.f_e, p.f_b, p.r_c, out, self.state[4])
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new
 
@@ -264,17 +267,19 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig,
     each snapshot is passed to ``emit(state)`` as soon as it is made, in
     time order, and the returned list holds only the final state, so the
     run keeps no snapshot. Every snapshot owns its arrays, never the
-    integrator's work arrays, so ``emit`` may hold on to it or hand it to
+    integrator's state array, so ``emit`` may hold on to it or hand it to
     another thread.
     """
     integrator = _Integrator(p, dom, cfg.dt)
     state = initial_state(p, dom, cfg)
-    b = state.beta / p.b_i
-    g = state.gamma / p.b_i
+    b, g = integrator.state[:2]
+    np.divide(state.beta, p.b_i, out=b)
+    np.divide(state.gamma, p.b_i, out=g)
     n_steps, stride = _step_counts(cfg)
     snapshots = []
     keep = snapshots.append if emit is None else emit
     keep(state)
+    del state  # with emit, the run no longer holds the initial fields
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         b, g = integrator.advance(b, g, t)

@@ -358,13 +358,36 @@ class TestWritersMatchReference:
         (1, [1, 0, 0, 1, 1], [2, 2, -1, 1, 2]),
         # every cell INFEASIBLE
         (4, [0, 0, 0], [-1, -1, -1]),
-    ], ids=["repeats", "equal-thresholds", "last-cell", "one-row", "all-infeasible"])
+        # INFEASIBLE in the last column
+        (4, [2, 1, 0], [2, 1, -1]),
+        # adjacent INFEASIBLE columns between columns that change
+        (5, [3, 0, 0, 1, 0, 0, 2], [2, -1, -1, 1, -1, -1, 2]),
+        # thresholds equal to n_rows: those columns are ODE_UNSTABLE throughout
+        (3, [3, 1, 3, 0], [2, 1, 1, 2]),
+    ], ids=["repeats", "equal-thresholds", "last-cell", "one-row", "all-infeasible",
+            "infeasible-last", "infeasible-adjacent", "threshold-n_rows"])
     def test_scan_csv_row_reuse(self, tmp_path, n_rows, steps, above):
         grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, n_rows),
                         a_axis=np.linspace(0.05, 1.0, len(steps)),
                         steps=np.array(steps), above=np.array(above, dtype=np.int8))
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_scan_csv_wide(self, tmp_path, rng):
+        # 5 rows of 5000 columns, each code and threshold drawn at random
+        above = rng.choice(np.array([-1, 1, 2], dtype=np.int8), 5000)
+        steps = np.where(above == Verdict.INFEASIBLE, 0, rng.integers(0, 6, above.size))
+        grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, 5), a_axis=np.linspace(0.05, 1.0, above.size),
+                        steps=steps, above=above)
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_scan_csv_rejects_infeasible_column_with_unstable_rows(self, tmp_path):
+        # "-1" below a one-byte "0" would move every later code of its row
+        grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, 3), a_axis=np.linspace(0.05, 1.0, 2),
+                        steps=np.array([0, 1]), above=np.array([2, -1], dtype=np.int8))
+        with pytest.raises(ValueError, match="INFEASIBLE"):
+            write_scan_csv(grid, tmp_path / "scan.csv")
 
     def test_scan_csv_of_scan_region(self, tmp_path):
         grid = scan_region(table1_params(), (1e-4, 0.3), (0.01, 3.0), (23, 41))
@@ -673,10 +696,24 @@ def test_simulate_peak_memory_close_to_steady(tmp_path):
     # Taking LAPACK from scipy's extension module added ~3.4 MB more, a process
     # pool for the writers ~1.3 MB, importing scipy.linalg ~27 MB, and drawing the
     # perturbation from numpy.random ~5.6 MB.
+    # At 30000 nodes the arrays show: 4.0-4.3 MiB over steady from either
+    # initial condition with one set of n-sized arrays, against 5.9 (spot) and
+    # 6.8 MiB (perturbation) with two (4, n) work arrays and whole-field
+    # temporaries in the initial state and the peak count.
+    fine = "n_points = 30000\nt_end = 60\nsnapshot_every = 30\n"
     steady = int(_probe(tmp_path, "steady", "")[-1])
-    for config in (SMALL_SIM, SMALL_SIM + "ic = perturbation\n"):
+    for config, mib in [(SMALL_SIM, 2.5), (SMALL_SIM + "ic = perturbation\n", 2.5),
+                        (fine, 5.0), (fine + "ic = perturbation\n", 5.0)]:
         simulate = int(_probe(tmp_path, "simulate", config)[-1])
-        assert simulate - steady < 2.5 * 1024, (config, steady, simulate)
+        assert simulate - steady < mib * 1024, (config, steady, simulate)
+
+
+def test_simulate_drops_snapshot_row_templates(tmp_path):
+    # the x column's text, ~27 bytes per node, is kept only while the run writes
+    cfg = tmp_path / "cfg"
+    cfg.write_text(SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cli._snapshot_rows.cache_info().currsize == 0
 
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")

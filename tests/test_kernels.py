@@ -26,9 +26,9 @@ def diffusion_solve(rhs, mu):
     """The solve inside ``step_arrays``: with every rate zero the update is
     ``(I - mu*L) x = rhs``."""
     n = rhs.shape[0]
-    work = kernels.work_array(n)
-    solve = kernels.factor(n, mu, mu)(work[:2])
-    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, solve, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, work)
+    out = np.empty((2, n))
+    solve = kernels.factor(n, mu, mu)(out)
+    x, _ = kernels.step_arrays(rhs, np.zeros(n), 1.0, solve, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, out, np.empty(n))
     return x
 
 
@@ -90,17 +90,17 @@ def reference_step(b, g, dt, factors_b, factors_c, r_b, a, s, f_e, f_b, r_c):
 def test_step_in_work_array_matches_allocating_reference(n, rng):
     factors_b, factors_c = field_factors(n, 0.37), field_factors(n, 412.5)
     rates = (0.0347, 0.3129, 0.01, 0.0856, 2.05e-3, 0.02)
-    work = kernels.work_array(n)
-    solve = kernels.factor(n, 0.37, 412.5)(work[:2])
-    work[...] = np.nan  # whatever a previous step left there must not leak in
+    out, scratch = np.empty((2, n)), np.empty(n)
+    solve = kernels.factor(n, 0.37, 412.5)(out)
+    out[...] = scratch[...] = np.nan  # whatever a previous step left there must not leak in
     for _ in range(3):
         b = rng.uniform(0.0, 1.0, n)
         g = rng.uniform(0.0, 0.5, n) * rng.choice([0.0, 1.0, 1e-9], n)
         dt = rng.uniform(0.1, 2.0)
         expected = reference_step(b, g, dt, factors_b, factors_c, *rates)
         b_in, g_in = b.copy(), g.copy()
-        got = kernels.step_arrays(b, g, dt, solve, *rates, work)
-        for x, ref, row in zip(got, expected, work):
+        got = kernels.step_arrays(b, g, dt, solve, *rates, out, scratch)
+        for x, ref, row in zip(got, expected, out, strict=True):
             np.testing.assert_array_equal(x.view(np.int64), ref.view(np.int64))  # bitwise
             assert np.shares_memory(x, row)
         np.testing.assert_array_equal(b, b_in)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from gutpatterns import (
     simulate,
     steady_state,
 )
+from gutpatterns import kernels
+from gutpatterns.analysis import snapshot_stats
 from gutpatterns.solver import _check_and_clamp, _Integrator, max_stable_dt, snapshot_times
 
 
@@ -155,7 +158,7 @@ class TestStep:
         u0 = np.array([eq_table1.beta_bar, eq_table1.gamma_bar]) / p_table1.b_i
         cosines = np.cos(np.pi * np.outer(modes, np.arange(n)) / (n - 1))
         delta = u0[:, None] * (amplitudes @ cosines)
-        # copied: the next step reuses the work arrays a result lives in
+        # copied: the step after next reuses the output slot a result lives in
         plus = np.array(integrator.advance(*(u0[:, None] + eps * delta), dt))
         minus = np.array(integrator.advance(*(u0[:, None] - eps * delta), dt))
         coefficients = scipy.fft.dct((plus - minus) / (2.0 * eps), type=1, axis=1) / (n - 1)
@@ -193,7 +196,7 @@ class TestSimulate:
         assert snapshot_times(cfg) == [s.time for s in snaps]
 
     def test_snapshots_share_no_memory(self, p_table1, domain):
-        # the integrator steps in reused work arrays; a snapshot must not be one
+        # the integrator steps in its reused state array; a snapshot must not be in it
         cfg = SimConfig(t_end=5.0, dt=1.0, snapshot_every=1.0)
         arrays = [a for s in simulate(p_table1, domain, cfg) for a in (s.beta, s.gamma)]
         assert len(arrays) == 12
@@ -202,7 +205,7 @@ class TestSimulate:
                 assert not np.shares_memory(a, b)
 
     def test_emitted_snapshots_match_list(self, p_table1, domain):
-        # an emitted state that aliased a work array would change as the run
+        # an emitted state that aliased the state array would change as the run
         # went on, so each is compared with a copy taken when it was emitted
         cfg = SimConfig(t_end=7.0, dt=1.0, snapshot_every=2.0, ic="perturbation", seed=3)
         emitted, copies = [], []
@@ -220,6 +223,34 @@ class TestSimulate:
             assert state.time == t == ref.time
             for got, at_emit, want in ((state.beta, beta, ref.beta), (state.gamma, gamma, ref.gamma)):
                 assert got.tobytes() == at_emit.tobytes() == want.tobytes()
+
+    # A run holds one set of n-sized arrays: the factors (4n floats), the
+    # integrator's state (5n), a snapshot (2n) and the temporaries of its
+    # statistics. In units of 8n bytes at n = 100000 the traced peak reads
+    # 13.0 (spot) and 15.0 (perturbation); with two (4, n) work arrays and
+    # whole-field temporaries it read 18.0 and 23.8.
+    @pytest.mark.parametrize("ic, bound", [("spot", 14.5), ("perturbation", 16.5)])
+    def test_traced_peak_in_field_sizes(self, p_table1, ic, bound):
+        n = 100000
+        dom = Domain1D(length=0.03, n_points=n)
+        cfg = SimConfig(t_end=4.0, dt=1.0, snapshot_every=2.0, ic=ic)
+        simulate(p_table1, Domain1D(length=0.001, n_points=64), cfg)  # loads LAPACK untraced
+        tracemalloc.start()
+        try:
+            simulate(p_table1, dom, cfg, emit=lambda state: snapshot_stats(state, dom))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) < bound
+
+    def test_one_kernel_call_per_step(self, p_table1, domain, monkeypatch):
+        # the benchmark times and counts the steps through kernels.step_arrays,
+        # so a step that bypassed it would read as no stepping at all
+        calls = []
+        step = kernels.step_arrays
+        monkeypatch.setattr(kernels, "step_arrays", lambda *args: calls.append(args) or step(*args))
+        simulate(p_table1, domain, SimConfig(t_end=50.0, dt=1.0, snapshot_every=20.0))
+        assert len(calls) == 50
 
     def test_invariants_along_run(self, p_table1, domain):
         cfg = SimConfig(t_end=2000.0, dt=1.0, snapshot_every=500.0)
