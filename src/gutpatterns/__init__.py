@@ -27,7 +27,6 @@ from .params import (
     reaction_terms,
     steady_state,
     table1_params,
-    with_calibrated_fe,
 )
 from .scan import ScanGrid, Verdict, classify_point, scan_region
 from .solver import Domain1D, FieldState, SimConfig, initial_state, simulate
@@ -81,5 +80,4 @@ __all__ = [
     "steady_state",
     "table1_params",
     "turing_classify",
-    "with_calibrated_fe",
 ]

@@ -107,21 +107,21 @@ def analyze_pattern(
     s: FieldState,
     dom: Domain1D,
     band: tuple[float, float] | None,
-    beta_ref: float | None = None,
+    beta_ref: float,
     rel_threshold: float = PEAK_THRESHOLD,
 ) -> PatternReport:
     """Full pattern report for one state.
 
     ``band`` is the predicted unstable interval of squared wavenumbers (None
     when linear theory predicts no instability). A field whose spatial
-    variance is below 1e-6 * beta_ref^2, or that is flat, is pattern-free:
-    its dominant xi^2 and wavelength are nan, so it is not in the band.
+    variance is below 1e-6 * beta_ref^2 (beta_ref: the equilibrium beta_bar),
+    or that is flat, is pattern-free: its dominant xi^2 and wavelength are
+    nan, so it is not in the band.
     """
     variance = float(np.var(s.beta))
     count, _ = detect_peaks(s, dom, rel_threshold)
     xi2 = wavelength = math.nan
-    low_variance = beta_ref is not None and variance < LOW_VARIANCE_FACTOR * beta_ref**2
-    if not low_variance:
+    if variance >= LOW_VARIANCE_FACTOR * beta_ref**2:
         with contextlib.suppress(DegenerateSpectrumError):
             xi2, wavelength = dominant_wavelength(s, dom)
     return PatternReport(

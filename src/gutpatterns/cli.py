@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -189,7 +188,6 @@ def _snapshot_name(t: float) -> str:
     return f"snap_t{_fmt(t)}.csv"
 
 
-@functools.lru_cache(maxsize=1)
 def _snapshot_rows(dom: Domain1D) -> tuple[str, ...]:
     """Row templates of a snapshot on ``dom``, one per block of _BLOCK_ROWS
     nodes: x as its repr, then ``%r`` for beta and gamma. Every snapshot of a
@@ -199,9 +197,11 @@ def _snapshot_rows(dom: Domain1D) -> tuple[str, ...]:
                  for start in range(0, x.size, _BLOCK_ROWS))
 
 
-def write_snapshot(state: FieldState, dom: Domain1D, out_dir: Path) -> None:
+def write_snapshot(state: FieldState, rows: tuple[str, ...], out_dir: Path) -> None:
+    """Write ``state`` to its snapshot file, filling the row templates
+    ``rows`` that :func:`_snapshot_rows` made for its domain."""
     _write_columns(out_dir / _snapshot_name(state.time), "x,beta,gamma",
-                   _snapshot_rows(dom), state.beta, state.gamma)
+                   rows, state.beta, state.gamma)
 
 
 def _check_snapshot_names(times: list[float]) -> None:
@@ -234,19 +234,21 @@ def _reap(pid: int, report: int, path: Path, status: int | None = None) -> BaseE
 
 @contextlib.contextmanager
 def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
-    """Yield a function that writes each state it is given by write_snapshot:
-    in a child forked for it while fewer than 2(k - 1) are alive, k being the
-    usable CPUs, once the child forked k - 1 before it is done, so k - 1 write
-    at once; else in this process. No byte depends on k. A child inherits the
-    state, where a spawned worker would import numpy again and unpickle it; it
-    calls no BLAS or LAPACK, whose threads predate the fork, and no other
-    Python thread here can hold a lock across the fork. It leaves by os._exit
+    """Yield a function that writes each state it is given by write_snapshot,
+    with the row templates of ``dom`` built once on entry: in a child forked
+    for it while fewer than 2(k - 1) are alive, k being the usable CPUs, once
+    the child forked k - 1 before it is done, so k - 1 write at once; else in
+    this process. No byte depends on k. A child inherits the state and the
+    templates, where a spawned worker would import numpy again and unpickle
+    them; it calls no BLAS or LAPACK, whose threads predate the fork, and no
+    other Python thread here can hold a lock across the fork. It leaves by os._exit
     and pipes back only its pickled error, raised with its type by the next
     write after it ends or at the end of the with-block, which waits for every
     child and lets its own error through unchanged. A child killed by a signal
     or exiting non-zero without a report is an OSError naming its file."""
     import select  # only here, so the other subcommands never load it
     k = min(_usable_cpus(), n_snapshots) if hasattr(os, "fork") else 1
+    rows = _snapshot_rows(dom)
     children = {}  # pid -> (read end of its report pipe, the file it writes)
 
     def write(state: FieldState) -> None:
@@ -255,14 +257,13 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
             if done and (error := _reap(pid, *children.pop(pid), status)):
                 raise error
         if len(children) >= 2 * (k - 1):
-            return write_snapshot(state, dom, out_dir)
-        _snapshot_rows(dom)  # built here once, so every child inherits them
+            return write_snapshot(state, rows, out_dir)
         report, report_end = os.pipe()
         if (pid := os.fork()) == 0:
             try:
                 if len(children) >= k - 1:  # ready once that child has ended or reported
                     select.select([list(children.values())[-(k - 1)][0]], [], [])
-                write_snapshot(state, dom, out_dir)
+                write_snapshot(state, rows, out_dir)
                 os._exit(0)
             except BaseException as exc:
                 os.write(report_end, pickle.dumps(exc))  # an exception pickles to well under a pipe's buffer
@@ -274,7 +275,6 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     try:
         yield write
     finally:
-        _snapshot_rows.cache_clear()
         errors = [_reap(pid, *child) for pid, child in children.items()]
     for error in filter(None, errors):
         raise error
@@ -333,9 +333,9 @@ def _steady(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _stability(cfg: RunConfig, out_dir: Path) -> None:
-    p, eq, j = _linearised(cfg)
+    p, _, j = _linearised(cfg)
     _start_outputs(cfg, out_dir)
-    _print_values(**asdict(turing_classify(p, eq, j)))
+    _print_values(**asdict(turing_classify(p, j)))
 
 
 def _dispersion(cfg: RunConfig, out_dir: Path) -> None:

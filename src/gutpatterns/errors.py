@@ -14,10 +14,10 @@ class CalibrationError(GutPatternsError, ValueError):
 
 
 class ConsistencyError(GutPatternsError, RuntimeError):
-    """Two independent computations of the same quantity disagree.
+    """A quantity contradicts what the model guarantees.
 
-    Raised when a cross-check fails (e.g. the Turing condition value vs
-    M11). Always signals an implementation bug, never bad user input.
+    Raised when det(M) <= 0 at the equilibrium, which valid parameters rule
+    out. Always signals an implementation bug, never bad user input.
     """
 
 

@@ -84,18 +84,6 @@ class ModelParams:
         """Diffusivity ratio d_b / d_c."""
         return self.d_b / self.d_c
 
-    @property
-    def p_c(self) -> float:
-        """Per-density encounter rate a / s_b."""
-        return self.a / self.s_b
-
-    @property
-    def tau(self) -> float:
-        """Handling time 1 / a (min)."""
-        if self.a == 0.0:
-            return math.inf
-        return 1.0 / self.a
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -217,11 +205,6 @@ def calibrate_fe(p: ModelParams, theta_target: float) -> float:
             f" (formula gives f_e={f_e:.6g})"
         )
     return f_e
-
-
-def with_calibrated_fe(p: ModelParams, theta_target: float = DEFAULT_THETA) -> ModelParams:
-    """Copy of ``p`` with f_e replaced by the calibrated value."""
-    return replace(p, f_e=calibrate_fe(p, theta_target))
 
 
 def table1_params(f_e: float | None = None) -> ModelParams:

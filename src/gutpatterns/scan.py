@@ -59,8 +59,7 @@ def classify_point(base: ModelParams, r_c: float, a: float, theta: float = DEFAU
     except CalibrationError:
         return Verdict.INFEASIBLE
     p = replace(p, f_e=f_e)
-    eq = steady_state(p)
-    verdict = turing_classify(p, eq, jacobian(p, eq))
+    verdict = turing_classify(p, jacobian(p, steady_state(p)))
     if verdict.turing:
         return Verdict.TURING
     if not verdict.ode_stable:
@@ -110,12 +109,3 @@ def scan_region(
     above[~feasible] = Verdict.INFEASIBLE
     return ScanGrid(r_c_axis=r_c, a_axis=a, steps=steps, above=above)
 
-
-def turing_window(base: ModelParams, r_c: float, a_values: np.ndarray, theta: float = DEFAULT_THETA):
-    """(a_lo, a_hi) bounds of the TURING cells in a dense 1-D sweep, or None."""
-    verdicts = np.array([classify_point(base, r_c, float(a), theta) for a in a_values])
-    mask = verdicts == Verdict.TURING
-    if not mask.any():
-        return None
-    hits = a_values[mask]
-    return float(hits.min()), float(hits.max())

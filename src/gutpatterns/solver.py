@@ -191,8 +191,6 @@ class _Integrator:
     """
 
     def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
-        if dt <= 0.0:
-            raise ParameterError(f"dt must be positive, got {dt!r}")
         bound = max_stable_dt(p)
         if dt > bound:
             raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")

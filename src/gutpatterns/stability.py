@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError
 from .params import Equilibrium, ModelParams, check_count
 
-REL_TOL_IDENTITY = 1e-9  # Turing condition value vs M11 agreement
 DISPERSION_SAMPLES = 512  # default sample count of dispersion()
 _GROWTH_RATE_BLOCK = 65536  # samples per block of growth_rate
 
@@ -89,28 +88,19 @@ def ode_stability(j: Jacobian2x2) -> bool:
     return j.trace < 0.0
 
 
-def turing_classify(p: ModelParams, eq: Equilibrium, j: Jacobian2x2) -> StabilityVerdict:
+def turing_classify(p: ModelParams, j: Jacobian2x2) -> StabilityVerdict:
     """Full classification: ODE stability plus the diffusion-driven instability test.
 
-    The Turing condition is 0 < value < r_c. At equilibrium the condition
-    value coincides with M11 (substituting the steady-state relation into the
-    M11 formula); disagreement beyond 1e-9 relative raises ConsistencyError.
+    The Turing condition is 0 < value < r_c, where the paper's condition
+    value equals M11 at the equilibrium (the tests check that identity).
+    Since trace = M11 - r_c, a Turing verdict implies ODE stability.
     """
-    ode_stable = ode_stability(j)
-    kappa = p.kappa
-    beta = eq.beta_bar
-    value = p.a * kappa * beta**2 / (p.s_b + beta) ** 2 - p.r_b * eq.theta - p.f_e * kappa
-    scale = max(abs(value), abs(j.m11), 1e-300)
-    if abs(value - j.m11) > REL_TOL_IDENTITY * scale:
-        raise ConsistencyError(
-            f"Turing condition value {value!r} != M11 {j.m11!r}; equilibrium inconsistent"
-        )
     return StabilityVerdict(
         trace=j.trace,
         det=j.det,
-        ode_stable=ode_stable,
-        turing_condition_value=value,
-        turing=0.0 < value < p.r_c,  # strict at both boundaries
+        ode_stable=ode_stability(j),
+        turing_condition_value=j.m11,
+        turing=0.0 < j.m11 < p.r_c,  # strict at both boundaries
     )
 
 

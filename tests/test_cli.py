@@ -93,9 +93,11 @@ class TestSubcommands:
 
     def test_stability_prints_turing_true(self, tmp_path, capsys):
         assert main(["stability", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "turing = true" in out
-        assert "ode_stable = true" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "turing = true" in lines
+        assert "ode_stable = true" in lines
+        p = table1_params()  # the condition value is M11, to the last digit
+        assert f"turing_condition_value = {jacobian(p, steady_state(p)).m11!r}" in lines
 
     def test_dispersion_writes_curve(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -317,7 +319,7 @@ class TestSubcommands:
         run_cfg = parse_config(text)
         expected.mkdir()
         write_snapshot(initial_state(run_cfg.params(), run_cfg.domain(), run_cfg.sim_config()),
-                       run_cfg.domain(), expected)
+                       cli._snapshot_rows(run_cfg.domain()), expected)
         outputs = read_outputs(out)
         assert sorted(outputs) == ["manifest", "snap_t0.csv"]
         assert outputs["snap_t0.csv"] == (expected / "snap_t0.csv").read_bytes()
@@ -424,8 +426,8 @@ class TestWritersMatchReference:
         assert capsys.readouterr().out == f"turing_cells = {turing}\n"
 
     def test_snapshot(self, tmp_path, rng):
-        # domains A, B, A, then C (A's n_points, another length): a row
-        # template kept from another domain would put the wrong x in the file.
+        # domains A, B, A, then C (A's n_points, another length): each file
+        # must carry its own domain's x column, not one of another domain.
         # A's node counts end a block one row early, exactly and one row late,
         # and three rows into a third block.
         b_i = 1e17
@@ -441,7 +443,8 @@ class TestWritersMatchReference:
                 gamma = np.concatenate([special_gamma, rng.uniform(0.0, 1e16, n)])
                 out_dir = tmp_path / f"{n_points}-{k}"
                 out_dir.mkdir()
-                write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), dom, out_dir)
+                write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), cli._snapshot_rows(dom),
+                               out_dir)
                 rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
                 assert (out_dir / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
 
@@ -472,18 +475,19 @@ def test_snapshot_files_do_not_depend_on_process_count(tmp_path, monkeypatch, rn
     expected, out, log = tmp_path / "expected", tmp_path / "out", tmp_path / "log"
     expected.mkdir()
     out.mkdir()
+    rows = cli._snapshot_rows(dom)
     for state in states:
-        write_snapshot(state, dom, expected)
+        write_snapshot(state, rows, expected)
     # a closure stands in for write_snapshot, as a timing wrapper would; every
     # process appends each time it writes to one log, and a child is slow, so
     # 2(k - 1) children are soon alive and this process writes the rest
     parent = os.getpid()
 
-    def recording(state, dom, out_dir):
+    def recording(state, rows, out_dir):
         start = time.monotonic()
         if os.getpid() != parent:
             time.sleep(0.05)
-        write_snapshot(state, dom, out_dir)
+        write_snapshot(state, rows, out_dir)
         with open(log, "a") as f:
             f.write(f"{state.time!r} {os.getpid() != parent} {start!r} {time.monotonic()!r}\n")
 
@@ -526,10 +530,10 @@ def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
     state = FieldState(time=0.0, beta=np.zeros(64), gamma=np.zeros(64))
     parent = os.getpid()
 
-    def failing_in_helper(state, dom, out_dir):
+    def failing_in_helper(state, rows, out_dir):
         if os.getpid() != parent:
             raise OSError(28, "No space left on device", "in a helper")
-        write_snapshot(state, dom, out_dir)
+        write_snapshot(state, rows, out_dir)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "write_snapshot", failing_in_helper)
@@ -565,10 +569,10 @@ def test_killed_writer_fails_with_one_error_line(tmp_path, capfd, monkeypatch):
     # stops with one error line naming that file and leaves no child behind
     parent, real_fork, forked = os.getpid(), os.fork, []
 
-    def killed_in_child(state, dom, out_dir):
+    def killed_in_child(state, rows, out_dir):
         if os.getpid() != parent and state.time == 0.0:
             os.kill(os.getpid(), signal.SIGKILL)
-        write_snapshot(state, dom, out_dir)
+        write_snapshot(state, rows, out_dir)
 
     def fork():
         forked.append(real_fork())
@@ -706,14 +710,6 @@ def test_simulate_peak_memory_close_to_steady(tmp_path):
                         (fine, 5.0), (fine + "ic = perturbation\n", 5.0)]:
         simulate = int(_probe(tmp_path, "simulate", config)[-1])
         assert simulate - steady < mib * 1024, (config, steady, simulate)
-
-
-def test_simulate_drops_snapshot_row_templates(tmp_path):
-    # the x column's text, ~27 bytes per node, is kept only while the run writes
-    cfg = tmp_path / "cfg"
-    cfg.write_text(SMALL_SIM)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert cli._snapshot_rows.cache_info().currsize == 0
 
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gutpatterns import (
     reaction_terms,
     steady_state,
     table1_params,
-    with_calibrated_fe,
 )
 from gutpatterns.params import _equilibrium_residual, _quadratic_root
 
@@ -48,8 +48,6 @@ class TestModelParams:
     def test_table1_derived_quantities(self, p_table1):
         assert p_table1.kappa == pytest.approx(0.1)
         assert p_table1.delta == pytest.approx(1e-3)
-        assert p_table1.p_c == pytest.approx(0.3129 / 1e15)
-        assert p_table1.tau == pytest.approx(1.0 / 0.3129)
 
     @pytest.mark.parametrize("name", ["r_c", "d_b", "d_c", "b_i", "f_b", "s_b"])
     def test_strictly_positive_fields(self, name):
@@ -106,8 +104,6 @@ class TestSteadyState:
         assert eq_table1.gamma_bar == p_table1.kappa * eq_table1.beta_bar
 
     def test_no_predation_limit(self, p_table1):
-        from dataclasses import replace
-
         p = replace(p_table1, a=0.0)
         eq = steady_state(p)
         assert eq.beta_bar == p.b_i
@@ -140,15 +136,11 @@ class TestCalibration:
         assert f_e == pytest.approx(0.0856, rel=5e-3)
 
     def test_back_substitution_residual(self, p_table1):
-        from dataclasses import replace
-
         p = replace(p_table1, f_e=calibrate_fe(p_table1, 0.3))
         res = _equilibrium_residual(p, 0.3)
         assert abs(res) / (p.r_b + p.f_e * p.kappa) < 1e-12
 
     def test_infeasible_without_predation(self, p_table1):
-        from dataclasses import replace
-
         p = replace(p_table1, a=0.0)
         with pytest.raises(CalibrationError):
             calibrate_fe(p, 0.3)
@@ -158,7 +150,7 @@ class TestCalibration:
             p = random_params(rng)
             theta = float(rng.uniform(0.05, 0.9))
             try:
-                q = with_calibrated_fe(p, theta)
+                q = replace(p, f_e=calibrate_fe(p, theta))
             except CalibrationError:
                 continue
             eq = steady_state(q)

@@ -6,7 +6,7 @@ import pytest
 from gutpatterns import ParameterError, Verdict, classify_point, scan_region
 from gutpatterns.cli import write_scan_csv
 from gutpatterns.params import DEFAULT_THETA
-from gutpatterns.scan import F_B_COUPLING, turing_window
+from gutpatterns.scan import F_B_COUPLING
 
 CANONICAL_RECT = ((1e-3, 5e-2), (5e-2, 1.0))
 
@@ -32,6 +32,16 @@ def scan_region_reference(base, r_c_range, a_range, resolution, theta=DEFAULT_TH
     verdicts[np.broadcast_to(turing, verdicts.shape)] = int(Verdict.TURING)
     verdicts[:, ~feasible] = int(Verdict.INFEASIBLE)
     return verdicts
+
+
+def turing_window(base, r_c, a_values, theta=DEFAULT_THETA):
+    """(a_lo, a_hi) bounds of the TURING cells in a dense 1-D sweep, or None."""
+    verdicts = np.array([classify_point(base, r_c, float(a), theta) for a in a_values])
+    mask = verdicts == Verdict.TURING
+    if not mask.any():
+        return None
+    hits = a_values[mask]
+    return float(hits.min()), float(hits.max())
 
 
 class TestClassifyPoint:
@@ -64,6 +74,21 @@ class TestScanRegion:
         scalar = [[int(classify_point(p_table1, r_c, a)) for a in grid.a_axis.tolist()]
                   for r_c in grid.r_c_axis.tolist()]
         np.testing.assert_array_equal(grid.verdicts, np.array(scalar, dtype=np.int8))
+
+    def test_matches_scalar_pipeline_at_every_threshold(self, p_table1):
+        # A cell can flip only if its r_c lies within rounding of its column's
+        # threshold, so each column is checked on both sides of its step and
+        # at both ends of the r_c axis.
+        grid = scan_region(p_table1, *CANONICAL_RECT, (3000, 3000))
+        r_c, a = grid.r_c_axis.tolist(), grid.a_axis.tolist()
+        n = len(r_c)
+        checked = 0
+        for k, (step, above) in enumerate(zip(grid.steps.tolist(), grid.above.tolist())):
+            for i in {step - 1, step, 0, n - 1} & set(range(n)):
+                expected = Verdict.ODE_UNSTABLE if i < step else above
+                assert classify_point(p_table1, r_c[i], a[k]) == expected, (i, k)
+                checked += 1
+        assert checked > 2 * n
 
     @pytest.mark.parametrize("r_c_range, a_range, resolution, codes", [
         (*CANONICAL_RECT, (40, 50), {-1, 0, 1, 2}),

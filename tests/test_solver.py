@@ -117,6 +117,12 @@ class TestStep:
         with pytest.raises(ParameterError, match="bound"):
             _Integrator(p_table1, domain, 2.0 * max_stable_dt(p_table1))
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_dt_rejected(self, p_table1, domain, dt):
+        # SimConfig rejects these first; a direct caller meets the diffusion numbers' check
+        with pytest.raises(ParameterError, match="diffusion numbers"):
+            _Integrator(p_table1, domain, dt)
+
     def test_overdriven_depletion_raises(self, p_table1, domain):
         # heavy phagocyte load over sparse bacteria: explicit depletion rate
         # exceeds 1/dt and the negativity guard must fire, not clamp
@@ -393,3 +399,64 @@ class TestSimulate:
         scaled = simulate(p4, dom4, cfg4)[-1]
         denom = np.maximum(np.abs(ref.beta), 1e-300)
         assert np.max(np.abs(scaled.beta - ref.beta) / denom) < 1e-9
+
+
+class TestManufacturedSolution:
+    """The production step on exact fields b, g (scaled by b_i) that it does
+    not solve by itself: the source S = u_t - d*u_xx - R(u), at t_n, is
+    added to each step through a second solve, so the step's reaction,
+    walls and dpttrs are checked together against known fields."""
+
+    L = 4e-4       # m
+    T_END = 100.0  # min
+    DECAY = 200.0  # min, the exact fields' time scale
+
+    def exact(self, x, t):
+        shape = np.cos(math.pi * x / self.L) * math.exp(-t / self.DECAY)
+        return 0.3 + 0.1 * shape, 0.2 + 0.05 * shape, shape
+
+    def source(self, p, x, t):
+        """(S_b, S_g) at time t; the shape's u_t is -u/DECAY, its u_xx -(pi/L)^2 u."""
+        b, g, shape = self.exact(x, t)
+        s = p.s_b / p.b_i
+        k2 = (math.pi / self.L) ** 2
+        reaction_b = p.r_b * (1.0 - b) * b - p.a * b * g / (s + b) + p.f_e * (1.0 - b) * g
+        reaction_g = p.f_b * b - p.r_c * g
+        source_b = 0.1 * shape * (p.d_b * k2 - 1.0 / self.DECAY) - reaction_b
+        source_g = 0.05 * shape * (p.d_c * k2 - 1.0 / self.DECAY) - reaction_g
+        return source_b, source_g
+
+    def max_error(self, p, n, dt):
+        dom = Domain1D(length=self.L, n_points=n)
+        x = dom.x()
+        bind = kernels.factor(n, dt * p.d_b / dom.dx**2, dt * p.d_c / dom.dx**2)
+        out, forced = np.empty((2, n)), np.empty((2, n))
+        solve, solve_forced = bind(out), bind(forced)
+        scratch = np.empty(n)
+        b, g, _ = self.exact(x, 0.0)
+        steps = round(self.T_END / dt)
+        for k in range(steps):
+            forced[:] = self.source(p, x, k * dt)
+            forced *= dt
+            forced[:, [0, -1]] *= 0.5  # the end rows, halved like the step's
+            kernels.step_arrays(b, g, dt, solve, p.r_b, p.a, p.s_b / p.b_i, p.f_e, p.f_b, p.r_c,
+                                out, scratch)
+            solve_forced()
+            out += forced
+            b, g = out.copy()
+        b_exact, g_exact, _ = self.exact(x, steps * dt)
+        return max(np.max(np.abs(b - b_exact)), np.max(np.abs(g - g_exact)))
+
+    @staticmethod
+    def orders(errors):
+        return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+
+    def test_second_order_in_space(self, p_table1):
+        # dt follows dx^2, so the first-order time error shrinks as fast as the space error
+        errors = [self.max_error(p_table1, n, dt)
+                  for n, dt in [(26, 4.0), (51, 1.0), (101, 0.25), (201, 0.0625)]]
+        assert all(1.9 <= q <= 2.1 for q in self.orders(errors)), (errors, self.orders(errors))
+
+    def test_first_order_in_time(self, p_table1):
+        errors = [self.max_error(p_table1, 201, dt) for dt in (4.0, 2.0, 1.0, 0.5)]
+        assert all(0.9 <= q <= 1.1 for q in self.orders(errors)), (errors, self.orders(errors))

@@ -10,15 +10,21 @@ from gutpatterns import (
     Jacobian2x2,
     ParameterError,
     band_edges,
+    calibrate_fe,
     dispersion,
     growth_rate,
     jacobian,
     ode_stability,
     steady_state,
     turing_classify,
-    with_calibrated_fe,
 )
 from tests.test_params import random_params
+
+
+def condition_value(p, eq):
+    """The paper's Turing condition value, which equals M11 at the equilibrium."""
+    kappa = p.f_b / p.r_c
+    return p.a * kappa * eq.beta_bar**2 / (p.s_b + eq.beta_bar) ** 2 - p.r_b * eq.theta - p.f_e * kappa
 
 
 def a2_coefficient(p, j, xi2):
@@ -61,7 +67,8 @@ class TestOdeStability:
         assert jac_table1.trace < 0
 
     def test_large_rc_stable(self, p_table1):
-        p = with_calibrated_fe(replace(p_table1, r_c=1.0, f_b=0.1), 0.3)
+        p = replace(p_table1, r_c=1.0, f_b=0.1)
+        p = replace(p, f_e=calibrate_fe(p, 0.3))
         eq = steady_state(p)
         j = jacobian(p, eq)
         assert ode_stability(j)
@@ -78,27 +85,24 @@ class TestOdeStability:
 
 
 class TestTuringClassify:
-    def test_table1(self, p_table1, eq_table1, jac_table1):
-        v = turing_classify(p_table1, eq_table1, jac_table1)
+    def test_table1(self, p_table1, jac_table1):
+        v = turing_classify(p_table1, jac_table1)
         assert v.turing_condition_value == pytest.approx(1.033e-2, rel=1e-3)
         assert 0.0 < v.turing_condition_value < p_table1.r_c
         assert v.turing
 
     def test_no_predation_not_turing(self, p_table1):
         p = replace(p_table1, a=0.0)
-        eq = steady_state(p)
-        v = turing_classify(p, eq, jacobian(p, eq))
+        v = turing_classify(p, jacobian(p, steady_state(p)))
         assert v.turing_condition_value < 0.0
         assert not v.turing
 
     def test_small_rc_matches_arithmetic(self, p_table1):
-        p = with_calibrated_fe(replace(p_table1, r_c=1e-3, f_b=1e-4), 0.3)
+        p = replace(p_table1, r_c=1e-3, f_b=1e-4)
+        p = replace(p, f_e=calibrate_fe(p, 0.3))
         eq = steady_state(p)
-        v = turing_classify(p, eq, jacobian(p, eq))
-        # independent evaluation of the condition's left side
-        kappa = p.f_b / p.r_c
-        value = p.a * kappa * eq.beta_bar**2 / (p.s_b + eq.beta_bar) ** 2 \
-            - p.r_b * eq.theta - p.f_e * kappa
+        v = turing_classify(p, jacobian(p, eq))
+        value = condition_value(p, eq)  # independent of M11's formula
         assert v.turing_condition_value == pytest.approx(value, rel=1e-12)
         assert v.turing == (0.0 < value < p.r_c)
 
@@ -107,9 +111,10 @@ class TestTuringClassify:
             p = random_params(rng)
             eq = steady_state(p)
             j = jacobian(p, eq)
-            v = turing_classify(p, eq, j)
+            v = turing_classify(p, j)
             assert v.det > 0.0
-            assert abs(v.turing_condition_value - j.m11) <= 1e-9 * abs(j.m11)
+            assert v.turing_condition_value == j.m11
+            assert abs(condition_value(p, eq) - j.m11) <= 1e-9 * abs(j.m11)
             assert v.ode_stable == (v.trace < 0.0)
             if v.turing:
                 assert v.ode_stable
