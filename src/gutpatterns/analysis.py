@@ -51,20 +51,17 @@ def _is_flat(b: np.ndarray) -> bool:
     return b_max - b_min <= FLAT_FIELD_RTOL * max(abs(b_max), abs(b_min))
 
 
-def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
-    """Strict local maxima of beta above rel_threshold * max(beta).
-
-    Plateaus report their midpoint; boundary nodes are eligible via the
-    one-sided comparison. A flat field has none, so round-off ripples are
-    not peaks. Returns (count, positions in m); ParameterError unless
-    0 < rel_threshold < 1.
-    """
+def _peak_runs(s: FieldState, rel_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, k): the runs of equal beta values that start at ``starts``,
+    and the indices ``k`` of the runs that are detect_peaks' peaks; both are
+    empty for a field with none. ParameterError unless 0 < rel_threshold < 1."""
     if not 0.0 < rel_threshold < 1.0:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
     b = np.asarray(s.beta, dtype=float)
     peak_max = b.max()
     if peak_max <= 0.0 or _is_flat(b):
-        return 0, []
+        none = np.empty(0, dtype=np.intp)
+        return none, none
     threshold = rel_threshold * peak_max
     # Runs of equal values: run k covers starts[k] to starts[k + 1] - 1, and
     # heights[k] is its value; the last of starts is n.
@@ -75,8 +72,20 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     peak = heights > threshold
     peak[1:] &= heights[:-1] < heights[1:]
     peak[:-1] &= heights[1:] < heights[:-1]
-    k = np.flatnonzero(peak)
-    del heights, peak
+    return starts, np.flatnonzero(peak)
+
+
+def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
+    """Strict local maxima of beta above rel_threshold * max(beta).
+
+    Plateaus report their midpoint; boundary nodes are eligible via the
+    one-sided comparison. A flat field has none, so round-off ripples are
+    not peaks. Returns (count, positions in m); ParameterError unless
+    0 < rel_threshold < 1.
+    """
+    starts, k = _peak_runs(s, rel_threshold)
+    if not k.size:
+        return 0, []
     x = dom.x()
     positions = (0.5 * (x[starts[k]] + x[starts[k + 1] - 1])).tolist()
     return len(positions), positions
@@ -134,8 +143,9 @@ def analyze_pattern(
 
 
 def snapshot_stats(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD) -> dict:
-    """Per-snapshot row; its keys are the CLI's ``series.csv`` columns."""
-    count, _ = detect_peaks(s, dom, rel_threshold)
+    """Per-snapshot row; its keys are the CLI's ``series.csv`` columns. Its
+    peak count is detect_peaks', counted without the positions."""
+    count = _peak_runs(s, rel_threshold)[1].size
     return {
         "t": s.time,
         "beta_variance": float(np.var(s.beta)),

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
 import pickle
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -232,6 +232,11 @@ def _reap(pid: int, report: int, path: Path, status: int | None = None) -> BaseE
     return OSError(f"the process writing {str(path)!r} {how}")
 
 
+# the start of the DeprecationWarning that os.fork gives in a multi-threaded process,
+# as numpy's BLAS threads make this one
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
 @contextlib.contextmanager
 def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     """Yield a function that writes each state it is given by write_snapshot,
@@ -241,7 +246,9 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     this process. No byte depends on k. A child inherits the state and the
     templates, where a spawned worker would import numpy again and unpickle
     them; it calls no BLAS or LAPACK, whose threads predate the fork, and no
-    other Python thread here can hold a lock across the fork. It leaves by os._exit
+    other Python thread here can hold a lock across the fork, so the warning
+    that Python >= 3.12 gives at a fork while any thread runs is ignored, and
+    only that warning. It leaves by os._exit
     and pipes back only its pickled error, raised with its type by the next
     write after it ends or at the end of the with-block, which waits for every
     child and lets its own error through unchanged. A child killed by a signal
@@ -259,7 +266,10 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
         if len(children) >= 2 * (k - 1):
             return write_snapshot(state, rows, out_dir)
         report, report_end = os.pipe()
-        if (pid := os.fork()) == 0:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
             try:
                 if len(children) >= k - 1:  # ready once that child has ended or reported
                     select.select([list(children.values())[-(k - 1)][0]], [], [])
@@ -280,32 +290,69 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
         raise error
 
 
-def write_scan_csv(grid: ScanGrid, path: Path) -> None:
-    """Header of a values, then one row per r_c: the r_c value and its codes.
+def _scan_codes(grid: ScanGrid) -> tuple[bytearray, np.ndarray, np.ndarray, np.ndarray]:
+    """The codes of the first row of ``grid``, as CSV bytes that end in a
+    newline, and the changes below it, sorted by row: (row, change_rows,
+    change_at, change_digits), the byte at change_at[j] turning to
+    change_digits[j] from row change_rows[j] on.
 
     Every code is one byte but INFEASIBLE's "-1", and a column is INFEASIBLE
     in every row or in none, so each code sits at a fixed offset in a row.
-    One row of bytes is kept; as the row index reaches a column's threshold,
-    that column's code is overwritten in place.
     """
-    steps, above = grid.steps.tolist(), grid.above.tolist()
-    if any(step and code == Verdict.INFEASIBLE for step, code in zip(steps, above)):
+    steps, above = grid.steps, grid.above
+    infeasible = above == Verdict.INFEASIBLE
+    if np.any(infeasible & (steps != 0)):
         raise ValueError("an INFEASIBLE column must have no ODE_UNSTABLE rows")
-    cells = [str(Verdict.ODE_UNSTABLE.value if step else code) for step, code in zip(steps, above)]
     # the offset of each column's last byte: each cell ends one byte before its separator
-    offsets = [end - 2 for end in itertools.accumulate(len(cell) + 1 for cell in cells)]
-    row = bytearray(",".join(cells).encode() + b"\n")
-    changes = {}  # row index -> (offset, digit) of each column whose code changes there
-    for step, at, code in zip(steps, offsets, above):
-        if step:
-            changes.setdefault(step, []).append((at, ord("0") + code))
+    offsets = np.where(infeasible, 3, 2)
+    np.cumsum(offsets, out=offsets)
+    offsets -= 2
+    row = bytearray(b",") * (int(offsets[-1]) + 2)
+    codes = np.frombuffer(row, dtype=np.uint8)  # writes through it change row
+    codes[-1] = ord("\n")
+    # a code's last byte, by code + 1: indexing by intp, where int8 arithmetic
+    # would page in numpy loops that nothing else in a scan runs (~0.2 MB)
+    digits = np.frombuffer(b"1012", dtype=np.uint8)
+    first_codes = above.astype(np.intp)
+    first_codes += 1
+    first_codes[steps > 0] = Verdict.ODE_UNSTABLE + 1
+    codes[offsets] = digits[first_codes]
+    codes[offsets[infeasible] - 1] = ord("-")
+    del infeasible, first_codes
+    # the columns whose code changes in some row, sorted by that row; a stable
+    # sort pages in less code than the default one
+    changing = np.flatnonzero((steps > 0) & (steps < grid.r_c_axis.size))
+    changing = changing[np.argsort(steps[changing], kind="stable")]
+    return row, steps[changing], offsets[changing], digits[above[changing].astype(np.intp) + 1]
+
+
+def write_scan_csv(grid: ScanGrid, path: Path) -> None:
+    """Header of a values, then one row per r_c: the r_c value and its codes.
+
+    One row of bytes is kept; as the row index reaches a column's threshold,
+    that column's code is overwritten in place. Offsets and code changes are
+    numpy arrays, and axis values are formatted _BLOCK_ROWS at a time, so no
+    Python object is kept per column or per row.
+    """
+    row, change_rows, change_at, change_digits = _scan_codes(grid)
+    codes = np.frombuffer(row, dtype=np.uint8)
+    # the changes of one row are a run: run k is bounds[k] to bounds[k + 1] - 1
+    bounds = np.flatnonzero(np.diff(change_rows, prepend=-1, append=-1))
     with _create(path, "wb", buffering=1 << 16) as f:
-        f.write(("," + ",".join(map(repr, grid.a_axis.tolist())) + "\n").encode())
-        for i, value in enumerate(grid.r_c_axis.tolist()):
-            for at, digit in changes.get(i, ()):
-                row[at] = digit
-            f.write(f"{value!r},".encode())
-            f.write(row)
+        for start in range(0, grid.a_axis.size, _BLOCK_ROWS):
+            f.write("".join(f",{v!r}" for v in grid.a_axis[start:start + _BLOCK_ROWS].tolist()).encode())
+        f.write(b"\n")
+        run = 0
+        next_row = int(change_rows[0]) if change_rows.size else -1  # the row of that run
+        for start in range(0, grid.r_c_axis.size, _BLOCK_ROWS):
+            for i, value in enumerate(grid.r_c_axis[start:start + _BLOCK_ROWS].tolist(), start):
+                if i == next_row:
+                    first, last = bounds[run], bounds[run + 1]
+                    codes[change_at[first:last]] = change_digits[first:last]
+                    run += 1
+                    next_row = int(change_rows[last]) if last < change_rows.size else -1
+                f.write(f"{value!r},".encode())
+                f.write(row)
 
 
 def _json_safe(value):

@@ -12,7 +12,7 @@ from gutpatterns import (
     detect_peaks,
     dominant_wavelength,
 )
-from gutpatterns.analysis import FLAT_FIELD_RTOL
+from gutpatterns.analysis import FLAT_FIELD_RTOL, snapshot_stats
 
 
 def field(beta, gamma=None):
@@ -128,6 +128,29 @@ class TestDetectPeaks:
         dom = Domain1D(length=1.0, n_points=100)
         with pytest.raises(ParameterError):
             detect_peaks(field(np.ones(100)), dom, 1.5)
+
+
+class TestSnapshotStats:
+    def test_counts_peaks_without_positions(self, rng, monkeypatch):
+        # the count is detect_peaks', but no node position is made for it
+        n = 1001
+        dom = Domain1D(length=0.03, n_points=n)
+        cases = [(beta, rel, detect_peaks(field(beta), dom, rel)[0])
+                 for beta in plateau_rich_fields(rng, n) for rel in (0.1, 0.5, 0.9)]
+        counts = {count for *_, count in cases}
+        assert 0 in counts and max(counts) > 1
+
+        def no_x(self):
+            raise AssertionError("x was built")
+
+        monkeypatch.setattr(Domain1D, "x", no_x)
+        for beta, rel, count in cases:
+            assert snapshot_stats(field(beta), dom, rel)["peak_count"] == count
+
+    def test_threshold_validation(self):
+        dom = Domain1D(length=1.0, n_points=100)
+        with pytest.raises(ParameterError):
+            snapshot_stats(field(np.ones(100)), dom, 1.5)
 
 
 class TestDominantWavelength:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,14 @@ def scan_csv_reference(grid: ScanGrid) -> str:
     return csv_reference("," + ",".join(_fmt(float(a)) for a in grid.a_axis), rows)
 
 
+def random_scan_grid(rng, n_rows: int, n_cols: int) -> ScanGrid:
+    """Each column's code and threshold drawn at random; an INFEASIBLE column has none."""
+    above = rng.choice(np.array([-1, 1, 2], dtype=np.int8), n_cols)
+    steps = np.where(above == Verdict.INFEASIBLE, 0, rng.integers(0, n_rows + 1, n_cols))
+    return ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, n_rows), a_axis=np.linspace(0.05, 1.0, n_cols),
+                    steps=steps, above=above)
+
+
 class TestWritersMatchReference:
     def test_scan_csv_every_code(self, tmp_path):
         # thresholds at 0 (first column INFEASIBLE throughout) and at n_rows;
@@ -381,6 +390,14 @@ class TestWritersMatchReference:
         steps = np.where(above == Verdict.INFEASIBLE, 0, rng.integers(0, 6, above.size))
         grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, 5), a_axis=np.linspace(0.05, 1.0, above.size),
                         steps=steps, above=above)
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+
+    def test_scan_csv_tall(self, tmp_path, rng):
+        # 5000 rows of 5 columns: most rows repeat the one above, and the
+        # reused row crosses blocks of axis values
+        grid = random_scan_grid(rng, 5000, 5)
+        assert Verdict.INFEASIBLE in grid.above and len(set(grid.steps.tolist())) > 1
         write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
 
@@ -460,6 +477,24 @@ class TestWritersMatchReference:
                            samples=run_cfg.xi2_samples)
         rows = [[float(v) for v in row] for row in zip(curve.xi2_samples, curve.growth_rates)]
         assert (tmp_path / "out" / "dispersion.csv").read_text() == csv_reference("xi2,growth_rate", rows)
+
+
+@pytest.mark.parametrize("n_rows, n_cols, limit", [(50, 200000, 10e6), (200000, 50, 1e6)],
+                         ids=["wide", "tall"])
+def test_scan_csv_writer_keeps_no_object_per_column_or_row(tmp_path, rng, n_rows, n_cols, limit):
+    # The writer's own memory, the grid being made before tracing starts: ~31 B
+    # per column in numpy arrays (offsets, the row, the changes sorted by row)
+    # and one block of axis values at a time, 6.3 MB wide and 0.1 MB tall.
+    # Lists of cells and offsets, a dict of changes and the whole header text
+    # took 53 MB wide, and 6.5 MB tall for the row values.
+    grid = random_scan_grid(rng, n_rows, n_cols)
+    tracemalloc.start()
+    try:
+        write_scan_csv(grid, tmp_path / "scan.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, peak
 
 
 def read_outputs(out_dir: Path) -> dict[str, bytes]:
@@ -551,6 +586,19 @@ def test_helper_error_raised_by_next_write(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="in a helper"):
         with cli._snapshot_writer(dom, tmp_path, 1000) as write:
             write(state)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="os.fork warns about threads from Python 3.12 on")
+@pytest.mark.skipif(cli._usable_cpus() < 2, reason="on one CPU simulate forks no writer")
+def test_forked_writers_print_no_warning(tmp_path):
+    # numpy's OpenBLAS threads make os.fork give a DeprecationWarning, which
+    # is shown where the CLI runs as __main__; the writers ignore that one warning
+    cfg = tmp_path / "cfg"
+    cfg.write_text(SMALL_SIM)
+    proc = subprocess.run([sys.executable, "-m", "gutpatterns.cli", "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_unloadable_lapack_fails_with_one_error_line(tmp_path, capsys, no_lapack_name_resolves):
@@ -650,15 +698,19 @@ print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules, kernels._lapa
 """
 
 
+def _env() -> dict[str, str]:
+    """This environment, with the tested package first on PYTHONPATH."""
+    src = str(Path(gutpatterns.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def _probe(tmp_path, subcommand, config):
     cfg = tmp_path / f"{subcommand}.cfg"
     cfg.write_text(config)
-    src = str(Path(gutpatterns.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, subcommand, "--config", str(cfg),
          "--out", str(tmp_path / subcommand)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()

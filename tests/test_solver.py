@@ -410,21 +410,28 @@ class TestManufacturedSolution:
     L = 4e-4       # m
     T_END = 100.0  # min
     DECAY = 200.0  # min, the exact fields' time scale
+    # (mean, amplitude, shift) of b and of g: u = mean + amplitude*(cos(pi*x/L) + shift)*exp(-t/DECAY)
+    B = (0.3, 0.1, 0.0)
+    G = (0.2, 0.05, 0.0)
+    SPACE_RUNS = [(26, 4.0), (51, 1.0), (101, 0.25), (201, 0.0625)]  # (n, dt), dt following dx^2
+    TIME_RUNS = (201, (4.0, 2.0, 1.0, 0.5))  # (n, dts)
 
-    def exact(self, x, t):
-        shape = np.cos(math.pi * x / self.L) * math.exp(-t / self.DECAY)
-        return 0.3 + 0.1 * shape, 0.2 + 0.05 * shape, shape
+    def field(self, spec, x, t):
+        """(u, u_t, u_xx) of the exact field of (mean, amplitude, shift) ``spec``."""
+        mean, amplitude, shift = spec
+        decay = amplitude * math.exp(-t / self.DECAY)
+        cosine = decay * np.cos(math.pi * x / self.L)
+        wave = cosine + shift * decay
+        return mean + wave, -wave / self.DECAY, -(math.pi / self.L) ** 2 * cosine
 
     def source(self, p, x, t):
-        """(S_b, S_g) at time t; the shape's u_t is -u/DECAY, its u_xx -(pi/L)^2 u."""
-        b, g, shape = self.exact(x, t)
+        """(S_b, S_g) at time t."""
+        b, b_t, b_xx = self.field(self.B, x, t)
+        g, g_t, g_xx = self.field(self.G, x, t)
         s = p.s_b / p.b_i
-        k2 = (math.pi / self.L) ** 2
         reaction_b = p.r_b * (1.0 - b) * b - p.a * b * g / (s + b) + p.f_e * (1.0 - b) * g
         reaction_g = p.f_b * b - p.r_c * g
-        source_b = 0.1 * shape * (p.d_b * k2 - 1.0 / self.DECAY) - reaction_b
-        source_g = 0.05 * shape * (p.d_c * k2 - 1.0 / self.DECAY) - reaction_g
-        return source_b, source_g
+        return b_t - p.d_b * b_xx - reaction_b, g_t - p.d_c * g_xx - reaction_g
 
     def max_error(self, p, n, dt):
         dom = Domain1D(length=self.L, n_points=n)
@@ -433,7 +440,7 @@ class TestManufacturedSolution:
         out, forced = np.empty((2, n)), np.empty((2, n))
         solve, solve_forced = bind(out), bind(forced)
         scratch = np.empty(n)
-        b, g, _ = self.exact(x, 0.0)
+        b, g = self.field(self.B, x, 0.0)[0], self.field(self.G, x, 0.0)[0]
         steps = round(self.T_END / dt)
         for k in range(steps):
             forced[:] = self.source(p, x, k * dt)
@@ -444,8 +451,9 @@ class TestManufacturedSolution:
             solve_forced()
             out += forced
             b, g = out.copy()
-        b_exact, g_exact, _ = self.exact(x, steps * dt)
-        return max(np.max(np.abs(b - b_exact)), np.max(np.abs(g - g_exact)))
+        t = steps * dt
+        return max(np.max(np.abs(b - self.field(self.B, x, t)[0])),
+                   np.max(np.abs(g - self.field(self.G, x, t)[0])))
 
     @staticmethod
     def orders(errors):
@@ -453,10 +461,23 @@ class TestManufacturedSolution:
 
     def test_second_order_in_space(self, p_table1):
         # dt follows dx^2, so the first-order time error shrinks as fast as the space error
-        errors = [self.max_error(p_table1, n, dt)
-                  for n, dt in [(26, 4.0), (51, 1.0), (101, 0.25), (201, 0.0625)]]
+        errors = [self.max_error(p_table1, n, dt) for n, dt in self.SPACE_RUNS]
         assert all(1.9 <= q <= 2.1 for q in self.orders(errors)), (errors, self.orders(errors))
 
     def test_first_order_in_time(self, p_table1):
-        errors = [self.max_error(p_table1, 201, dt) for dt in (4.0, 2.0, 1.0, 0.5)]
+        n, dts = self.TIME_RUNS
+        errors = [self.max_error(p_table1, n, dt) for dt in dts]
         assert all(0.9 <= q <= 1.1 for q in self.orders(errors)), (errors, self.orders(errors))
+
+
+class TestManufacturedSolutionNearZero(TestManufacturedSolution):
+    """b = 1e-3 + 0.1*(1 + cos(pi*x/L))*exp(-t/DECAY) stays at 1e-3 at x = L,
+    where the predation term's s + b is smallest (s = s_b/b_i = 0.01). There
+    the explicit predation term's rate a*g*s/(s + b)^2 is ~4 /min, so the
+    step is stable only below dt ~0.5 min: the first case's dt = 4 and 1
+    overflow. Orders read 2.00, 2.00 in dx and 0.99, 0.99, 0.98 in dt."""
+
+    B = (1e-3, 0.1, 1.0)
+    SPACE_RUNS = [(26, 0.25), (51, 0.0625), (101, 0.015625)]
+    # n = 401: at n = 201 the space error, ~1.4e-6, bends the last order in dt to 0.92
+    TIME_RUNS = (401, (0.375, 0.1875, 0.09375, 0.046875))
