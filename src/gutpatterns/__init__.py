@@ -5,17 +5,16 @@ Library layout:
 - :mod:`gutpatterns.params` — parameters, kinetics, steady state, calibration
 - :mod:`gutpatterns.stability` — Jacobian, ODE/Turing verdicts, dispersion
 - :mod:`gutpatterns.solver` — semi-implicit 1-D integrator
-- :mod:`gutpatterns.analysis` — peak detection and dominant wavelength
+- :mod:`gutpatterns.analysis` — peak detection and median peak spacing
 - :mod:`gutpatterns.scan` — (r_c, a) region classification
 - :mod:`gutpatterns.cli` — command-line interface
 """
 
-from .analysis import PatternReport, analyze_pattern, detect_peaks, dominant_wavelength
+from .analysis import PatternReport, analyze_pattern, detect_peaks
 from .errors import (
     CalibrationError,
     ConfigError,
     ConsistencyError,
-    DegenerateSpectrumError,
     GutPatternsError,
     InvariantError,
     ParameterError,
@@ -48,7 +47,6 @@ __all__ = [
     "CalibrationError",
     "ConfigError",
     "ConsistencyError",
-    "DegenerateSpectrumError",
     "DispersionCurve",
     "Domain1D",
     "Equilibrium",
@@ -69,7 +67,6 @@ __all__ = [
     "classify_point",
     "detect_peaks",
     "dispersion",
-    "dominant_wavelength",
     "growth_rate",
     "initial_state",
     "jacobian",

@@ -1,20 +1,18 @@
-"""Pattern quantification: peak detection and dominant-wavelength extraction.
+"""Pattern quantification: peak detection and the median peak spacing.
 
-The spectral path mean-subtracts the bacterial profile, extends it evenly
-(reflectively, consistent with Neumann ends) and reads the squared wavenumber
-of the strongest nonzero mode, which can then be compared against the
-linear-theory unstable band.
+The median gap between neighbouring peaks gives the squared wavenumber
+(2*pi/spacing)^2, which can then be compared against the linear-theory
+unstable band.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ParameterError
+from .errors import ParameterError
 from .solver import Domain1D, FieldState
 
 FLAT_FIELD_RTOL = 1e-12  # of max|beta|: a field whose range is within this is flat
@@ -27,25 +25,24 @@ class PatternReport:
     """Summary of one state; its fields are the CLI's ``report.json`` keys."""
 
     peak_count: int
-    dominant_xi2: float            # 1/m^2, nan when the field is pattern-free
-    dominant_wavelength_m: float   # m, = 2*pi/sqrt(dominant_xi2)
-    in_predicted_band: bool
+    median_spacing_m: float        # m, nan when pattern-free or below 2 peaks
+    in_predicted_band: bool        # (2*pi/median_spacing_m)^2 inside the band
     spatial_variance: float        # (units/m^3)^2
 
     @property
     def patterned(self) -> bool:
         """True when the field shows a genuine multi-spot pattern.
 
-        Requires at least three peaks and a spectral result (pattern-free
+        Requires at least three peaks and a median spacing (pattern-free
         fields never count as patterned).
         """
-        return self.peak_count >= 3 and not math.isnan(self.dominant_xi2)
+        return self.peak_count >= 3 and not math.isnan(self.median_spacing_m)
 
 
 def _is_flat(b: np.ndarray) -> bool:
     """True when beta's range is round-off: at most FLAT_FIELD_RTOL of max|beta|.
 
-    A flat field has neither peaks nor a dominant wavelength.
+    A flat field has no peaks.
     """
     b_max, b_min = b.max(), b.min()
     return b_max - b_min <= FLAT_FIELD_RTOL * max(abs(b_max), abs(b_min))
@@ -91,25 +88,13 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     return len(positions), positions
 
 
-def dominant_wavelength(s: FieldState, dom: Domain1D) -> tuple[float, float]:
-    """(squared wavenumber, wavelength) of the strongest nonzero spatial mode.
-
-    Raises DegenerateSpectrumError on a flat field.
-    """
-    b = np.asarray(s.beta, dtype=float)
-    n = b.shape[0]
-    if n < 16:
-        raise ParameterError(f"need at least 16 nodes, got {n}")
-    if _is_flat(b):
-        raise DegenerateSpectrumError("field is flat; no dominant wavelength")
-    # even extension of b - mean: [d0..d_{n-1}, d_{n-2}..d_1], period 2(n-1)*dx
-    ext = np.concatenate([b, b[-2:0:-1]])
-    ext -= b.mean()
-    spectrum = np.fft.rfft(ext)
-    del ext  # before the amplitudes are made
-    k = int(np.argmax(np.abs(spectrum[1:]))) + 1
-    xi = math.pi * k / dom.length
-    return xi * xi, 2.0 * math.pi / xi
+def _median_gap(positions: list[float]) -> float:
+    """Median gap between neighbouring sorted positions; nan for fewer than 2."""
+    gaps = sorted(right - left for left, right in zip(positions, positions[1:]))
+    if not gaps:
+        return math.nan
+    mid = len(gaps) // 2
+    return gaps[mid] if len(gaps) % 2 else 0.5 * (gaps[mid - 1] + gaps[mid])
 
 
 def analyze_pattern(
@@ -124,20 +109,17 @@ def analyze_pattern(
     ``band`` is the predicted unstable interval of squared wavenumbers (None
     when linear theory predicts no instability). A field whose spatial
     variance is below 1e-6 * beta_ref^2 (beta_ref: the equilibrium beta_bar),
-    or that is flat, is pattern-free: its dominant xi^2 and wavelength are
-    nan, so it is not in the band.
+    or that is flat, is pattern-free: its median peak spacing is nan, as it
+    is with fewer than 2 peaks, and a nan spacing is not in the band.
     """
     variance = float(np.var(s.beta))
-    count, _ = detect_peaks(s, dom, rel_threshold)
-    xi2 = wavelength = math.nan
-    if variance >= LOW_VARIANCE_FACTOR * beta_ref**2:
-        with contextlib.suppress(DegenerateSpectrumError):
-            xi2, wavelength = dominant_wavelength(s, dom)
+    count, positions = detect_peaks(s, dom, rel_threshold)
+    spacing = _median_gap(positions) if variance >= LOW_VARIANCE_FACTOR * beta_ref**2 else math.nan
+    xi = 2.0 * math.pi / spacing
     return PatternReport(
         peak_count=count,
-        dominant_xi2=xi2,
-        dominant_wavelength_m=wavelength,
-        in_predicted_band=band is not None and band[0] < xi2 < band[1],  # False for nan
+        median_spacing_m=spacing,
+        in_predicted_band=band is not None and band[0] < xi * xi < band[1],  # False for nan
         spatial_variance=variance,
     )
 

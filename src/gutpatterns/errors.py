@@ -25,9 +25,5 @@ class InvariantError(GutPatternsError, RuntimeError):
     """A runtime invariant of the solver was violated beyond tolerance."""
 
 
-class DegenerateSpectrumError(GutPatternsError, ValueError):
-    """Spectral analysis requested on a constant field."""
-
-
 class ConfigError(GutPatternsError, ValueError):
     """Config file could not be parsed or validated."""

@@ -122,7 +122,8 @@ def max_stable_dt(p: ModelParams) -> float:
 
     The limiting rates are the linear self-decay scales of the two fields:
     r_b + f_e*kappa for bacteria near the equilibrium balance, f_b and r_c
-    for phagocytes.
+    for phagocytes. It leaves out the explicit predation rate
+    a*g*s/(s + b)^2 (scaled densities), which is largest where b -> 0.
     """
     rate = max(p.r_b + p.f_e * p.kappa, p.f_b, p.r_c)
     return DT_SAFETY / rate

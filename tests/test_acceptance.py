@@ -108,10 +108,11 @@ def test_criterion_6_pattern_formation(p_table1, jac_table1, fig2_run):
     eq = steady_state(p_table1)
     report = analyze_pattern(snaps[-1], DOM, (lam_minus, lam_plus), beta_ref=eq.beta_bar)
     assert report.peak_count >= 3
-    assert lam_minus < report.dominant_xi2 < lam_plus
+    xi2 = (2.0 * math.pi / report.median_spacing_m) ** 2
+    assert lam_minus < xi2 < lam_plus
     assert report.patterned
-    _passed(6, f"{report.peak_count} peaks, dominant xi^2={report.dominant_xi2:.3e} "
-               f"inside band, {elapsed:.1f} s")
+    _passed(6, f"{report.peak_count} peaks, median spacing {report.median_spacing_m * 1e6:.2f} um, "
+               f"xi^2={xi2:.3e} inside band, {elapsed:.1f} s")
 
 
 def test_criterion_7_stable_control(p_table1, control_run):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from gutpatterns import (
-    DegenerateSpectrumError,
     Domain1D,
     FieldState,
     ParameterError,
     analyze_pattern,
     detect_peaks,
-    dominant_wavelength,
 )
 from gutpatterns.analysis import FLAT_FIELD_RTOL, snapshot_stats
 
@@ -153,46 +151,52 @@ class TestSnapshotStats:
             snapshot_stats(field(np.ones(100)), dom, 1.5)
 
 
-class TestDominantWavelength:
+class TestMedianSpacing:
     @pytest.mark.parametrize("k", [2, 7, 10, 40])
     def test_single_mode_recovery(self, k):
+        # each maximum of a Neumann-compatible cosine mode is read at its nearest node
         dom = Domain1D(length=1.0, n_points=512)
-        x = dom.x()
-        lam = 2.0 * dom.length / k  # Neumann-compatible cosine mode
-        beta = 3.0 * (1.0 + np.cos(2.0 * np.pi * x / lam))
-        xi2, wavelength = dominant_wavelength(field(beta), dom)
-        assert wavelength == pytest.approx(lam, rel=1e-12)
-        assert xi2 == pytest.approx((2.0 * np.pi / lam) ** 2, rel=1e-12)
+        lam = 2.0 * dom.length / k
+        beta = 3.0 * (1.0 + np.cos(2.0 * np.pi * dom.x() / lam))
+        report = analyze_pattern(field(beta), dom, band=None, beta_ref=3.0)
+        assert report.peak_count == k // 2 + 1
+        assert report.median_spacing_m == pytest.approx(lam, abs=dom.dx)
 
-    def test_wavelength_xi2_relation(self):
-        dom = Domain1D(length=1.0, n_points=256)
-        x = dom.x()
-        beta = 1.0 + 0.5 * np.cos(8.0 * np.pi * x)
-        xi2, wavelength = dominant_wavelength(field(beta), dom)
-        assert wavelength == pytest.approx(2.0 * np.pi / math.sqrt(xi2), rel=1e-12)
+    # gaps in node order, with their median and mean (dx = 0.01): the median
+    # is taken over the sorted gaps, not the middle ones in node order
+    @pytest.mark.parametrize("nodes,median,mean", [
+        ((10, 20, 50, 60), 0.1, 0.5 / 3.0),         # 3 gaps: 0.1, 0.3, 0.1
+        ((10, 20, 40, 70, 80), 0.15, 0.175),        # 4 gaps: 0.1, 0.2, 0.3, 0.1
+    ], ids=["odd_gaps", "even_gaps"])
+    def test_median_of_unequal_gaps(self, nodes, median, mean):
+        dom = Domain1D(length=1.0, n_points=101)
+        xi2 = (2.0 * np.pi / median) ** 2
+        band = (0.9 * xi2, 1.1 * xi2)  # holds the median's xi^2, not the mean's
+        assert not band[0] < (2.0 * np.pi / mean) ** 2 < band[1]
+        beta = np.zeros(101)
+        beta[list(nodes)] = 1.0  # one peak at each of nodes
+        report = analyze_pattern(field(beta), dom, band, beta_ref=1.0)
+        assert report.peak_count == len(nodes)
+        assert report.median_spacing_m == pytest.approx(median, rel=1e-12)
+        assert report.in_predicted_band
+        assert report.patterned
 
-    def test_constant_field_degenerate(self):
-        dom = Domain1D(length=1.0, n_points=100)
-        with pytest.raises(DegenerateSpectrumError):
-            dominant_wavelength(field(np.full(100, 2.0)), dom)
-
-    @pytest.mark.parametrize("ripple,flat", [(0.5 * FLAT_FIELD_RTOL, True), (2.0 * FLAT_FIELD_RTOL, False)])
-    def test_flat_as_detect_peaks_sees_it(self, ripple, flat):
-        # the round-off ripple field of TestDetectPeaks: no wavelength exactly when no peaks
-        dom = Domain1D(length=1.0, n_points=64)
-        beta = np.full(64, 3e16)
-        beta[[10, 40]] *= 1.0 + ripple
-        assert (detect_peaks(field(beta), dom)[0] == 0) == flat
-        if flat:
-            with pytest.raises(DegenerateSpectrumError):
-                dominant_wavelength(field(beta), dom)
-        else:
-            dominant_wavelength(field(beta), dom)
+    @pytest.mark.parametrize("beta,beta_ref", [
+        (np.full(101, 2.0), 0.0),            # flat: 0 peaks (beta_ref 0 passes the variance guard)
+        (np.linspace(1.0, 0.0, 101), 1.0),   # a ramp: 1 peak, at the boundary
+    ], ids=["no_peaks", "one_peak"])
+    def test_fewer_than_two_peaks_is_nan(self, beta, beta_ref):
+        dom = Domain1D(length=1.0, n_points=101)
+        report = analyze_pattern(field(beta), dom, band=(0.0, math.inf), beta_ref=beta_ref)
+        assert report.peak_count == detect_peaks(field(beta), dom)[0] < 2
+        assert math.isnan(report.median_spacing_m)
+        assert not report.in_predicted_band
+        assert not report.patterned
 
 
 class TestAnalyzePattern:
     def test_patterned_field(self):
-        dom = Domain1D(length=1.0, n_points=1024)
+        dom = Domain1D(length=1.0, n_points=1001)  # every maximum on a node
         x = dom.x()
         beta = 2.0 + np.cos(2.0 * np.pi * (x - 0.05) / 0.1)
         xi2 = (2.0 * np.pi / 0.1) ** 2
@@ -200,13 +204,13 @@ class TestAnalyzePattern:
         assert report.peak_count == 10
         assert report.in_predicted_band
         assert report.patterned
-        assert report.dominant_wavelength_m == pytest.approx(0.1, rel=1e-6)
+        assert report.median_spacing_m == pytest.approx(0.1)
 
     def test_low_variance_path(self):
         dom = Domain1D(length=1.0, n_points=1024)
         beta = 1e16 * (1.0 + 1e-8 * np.cos(20.0 * np.pi * dom.x()))
         report = analyze_pattern(field(beta), dom, band=(1.0, 1e6), beta_ref=1e16)
-        assert math.isnan(report.dominant_xi2)
+        assert math.isnan(report.median_spacing_m)
         assert not report.in_predicted_band
         assert not report.patterned
 

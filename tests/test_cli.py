@@ -121,8 +121,7 @@ class TestSubcommands:
         series = (out_dir / "series.csv").read_text().splitlines()
         assert series[0] == "t,beta_variance,gamma_variance,beta_max,peak_count"
         report = json.loads((out_dir / "report.json").read_text())
-        assert set(report) == {"peak_count", "dominant_xi2", "dominant_wavelength_m",
-                               "in_predicted_band", "spatial_variance"}
+        assert set(report) == {"peak_count", "median_spacing_m", "in_predicted_band", "spatial_variance"}
         snap = (out_dir / "snap_t0.csv").read_text().splitlines()
         assert snap[0] == "x,beta,gamma"
         assert len(snap) == 401
@@ -678,8 +677,8 @@ class TestReproducibility:
 
 # Runs one subcommand in a fresh interpreter and prints its exit code, whether
 # scipy and scipy.linalg are loaded, how many LAPACKs kernels._lapack loaded,
-# whether a process pool's modules are loaded, whether numpy.random is loaded,
-# and the peak RSS (VmHWM) in kB, or -1
+# whether a process pool's modules are loaded, whether numpy.random and
+# numpy.fft are loaded, and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it. Two usable CPUs are assumed, so that
 # simulate forks its snapshot writers on any machine.
 _IMPORT_PROBE = """\
@@ -694,7 +693,7 @@ except OSError:
     hwm = -1
 print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules, kernels._lapack.cache_info().currsize,
       "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules,
-      "numpy.random" in sys.modules, hwm)
+      "numpy.random" in sys.modules, "numpy.fft" in sys.modules, hwm)
 """
 
 
@@ -732,10 +731,11 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapac
     # subcommand loads concurrent.futures or multiprocessing (~21 ms and ~1.3 MB).
     # The perturbation IC draws from the standard library's random.Random, so no
     # subcommand loads numpy.random, which brings hashlib and OpenSSL's libcrypto
-    # (~5.6 MB).
-    code, scipy_, linalg, loads, pool, np_random, _ = _probe(tmp_path, subcommand, config)
-    assert (code, scipy_, linalg, int(loads), pool, np_random) == (
-        "0", "False", "False", int(loads_lapack), "False", "False")
+    # (~5.6 MB). simulate's report takes the median of the peak spacings, not an
+    # FFT, so no subcommand loads numpy.fft either.
+    code, scipy_, linalg, loads, pool, np_random, np_fft, _ = _probe(tmp_path, subcommand, config)
+    assert (code, scipy_, linalg, int(loads), pool, np_random, np_fft) == (
+        "0", "False", "False", int(loads_lapack), "False", "False", "False")
 
 
 def _has_vm_hwm():
