@@ -49,27 +49,42 @@ def _is_flat(b: np.ndarray) -> bool:
 
 
 def _peak_runs(s: FieldState, rel_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, k): the runs of equal beta values that start at ``starts``,
-    and the indices ``k`` of the runs that are detect_peaks' peaks; both are
-    empty for a field with none. ParameterError unless 0 < rel_threshold < 1."""
+    """(first, last): bool masks of the first and the last node of each run of
+    equal beta values that is one of detect_peaks' peaks; both are empty for a
+    field with none. ParameterError unless 0 < rel_threshold < 1."""
     if not 0.0 < rel_threshold < 1.0:
         raise ParameterError(f"rel_threshold must lie in (0, 1), got {rel_threshold!r}")
     b = np.asarray(s.beta, dtype=float)
     peak_max = b.max()
-    if peak_max <= 0.0 or _is_flat(b):
-        none = np.empty(0, dtype=np.intp)
+    if not peak_max > 0.0 or _is_flat(b):  # a NaN max is no peak either
+        none = np.zeros(0, dtype=bool)
         return none, none
     threshold = rel_threshold * peak_max
-    # Runs of equal values: run k covers starts[k] to starts[k + 1] - 1, and
-    # heights[k] is its value; the last of starts is n.
-    starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1], [True])))
-    heights = b[starts[:-1]]
-    # A run is a peak when both neighbouring runs are lower; a boundary run
-    # has only one neighbour.
-    peak = heights > threshold
-    peak[1:] &= heights[:-1] < heights[1:]
-    peak[:-1] &= heights[1:] < heights[:-1]
-    return starts, np.flatnonzero(peak)
+    # Byte masks over the n - 1 neighbour pairs, kept only where the value
+    # changes: the j-th change starts run j + 1, and run 0 starts at node 0.
+    # A field left here is finite (an infinity makes it flat) and not constant,
+    # so it changes at least once.
+    left, right = b[:-1], b[1:]
+    peak = right > left  # so far: the field rises into the run
+    fall = right < left
+    change = peak | fall
+    peak, fall = peak[change], fall[change]
+    # Run j + 1 is a peak when the field rises into it, falls out of it (or
+    # ends) and it lies above the cut; run 0 needs only the fall.
+    peak &= (right > threshold)[change]
+    peak[:-1] &= fall[1:]
+    head = bool(b[0] > threshold and fall[0])
+    del fall
+    # Back onto the nodes: run j + 1 starts after change j, and run j ends at it.
+    first = np.zeros(b.size, dtype=bool)
+    first[0] = head
+    first[1:][change] = peak
+    last = np.zeros(b.size, dtype=bool)
+    last[-1] = peak[-1]
+    peak[1:] = peak[:-1]
+    peak[0] = head
+    last[:-1][change] = peak
+    return first, last
 
 
 def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD):
@@ -80,11 +95,12 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
     not peaks. Returns (count, positions in m); ParameterError unless
     0 < rel_threshold < 1.
     """
-    starts, k = _peak_runs(s, rel_threshold)
-    if not k.size:
+    first, last = _peak_runs(s, rel_threshold)
+    first, last = np.flatnonzero(first), np.flatnonzero(last)
+    if not first.size:
         return 0, []
     x = dom.x()
-    positions = (0.5 * (x[starts[k]] + x[starts[k + 1] - 1])).tolist()
+    positions = (0.5 * (x[first] + x[last])).tolist()
     return len(positions), positions
 
 
@@ -127,7 +143,7 @@ def analyze_pattern(
 def snapshot_stats(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRESHOLD) -> dict:
     """Per-snapshot row; its keys are the CLI's ``series.csv`` columns. Its
     peak count is detect_peaks', counted without the positions."""
-    count = _peak_runs(s, rel_threshold)[1].size
+    count = np.count_nonzero(_peak_runs(s, rel_threshold)[0])
     return {
         "t": s.time,
         "beta_variance": float(np.var(s.beta)),

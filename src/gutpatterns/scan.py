@@ -90,22 +90,37 @@ def scan_region(
     kappa = F_B_COUPLING  # f_b/r_c is constant by construction
     s = base.s_b / base.b_i
 
-    # Calibrated feedback per a-column; independent of r_c since kappa is.
+    # Calibrated feedback per a-column, a * kappa * theta / ((s + theta) *
+    # (1 - theta)) - r_b; independent of r_c since kappa is. Each whole-axis
+    # value is worked out in place on one array, in the order its formula
+    # gives, and freed once used.
     with np.errstate(over="ignore"):
-        f_e_kappa = a * kappa * theta / ((s + theta) * (1.0 - theta)) - base.r_b
+        f_e_kappa = a * kappa
+        f_e_kappa *= theta
+        f_e_kappa /= (s + theta) * (1.0 - theta)
+        f_e_kappa -= base.r_b
         finite = np.isfinite(f_e_kappa / kappa)
     if not finite.all():
         raise ParameterError(f"calibrated f_e must be finite; it overflows from a = {float(a[~finite][0])!r}")
+    del finite
     feasible = f_e_kappa > 0.0
 
-    # Turing condition value; equals M11 at the calibrated equilibrium.
-    value = a * kappa * theta**2 / (s + theta) ** 2 - base.r_b * theta - f_e_kappa
+    # Turing condition value, a * kappa * theta^2 / (s + theta)^2 - r_b * theta
+    # - f_e_kappa; equals M11 at the calibrated equilibrium.
+    value = a * kappa
+    value *= theta**2
+    value /= (s + theta) ** 2
+    value -= base.r_b * theta
+    value -= f_e_kappa
+    del f_e_kappa
 
     # A feasible column is ODE_UNSTABLE in its first `steps` rows (r_c <= value;
     # linspace is non-decreasing), then TURING if value > 0, else STABLE_ONLY.
     # An infeasible column has no unstable rows and is INFEASIBLE throughout.
-    steps = np.where(feasible, np.searchsorted(r_c, value, side="right"), 0)
     above = np.where(value > 0.0, Verdict.TURING, Verdict.STABLE_ONLY).astype(np.int8)
     above[~feasible] = Verdict.INFEASIBLE
+    steps = np.searchsorted(r_c, value, side="right")
+    del value
+    steps = np.where(feasible, steps, 0)
     return ScanGrid(r_c_axis=r_c, a_axis=a, steps=steps, above=above)
 

@@ -283,6 +283,7 @@ def simulate(p: ModelParams, dom: Domain1D, cfg: SimConfig,
         t = k * cfg.dt
         b, g = integrator.advance(b, g, t)
         if k % stride == 0 or k == n_steps:
+            state = None  # with emit, no earlier snapshot is held while this one is made
             state = FieldState(time=t, beta=b * p.b_i, gamma=g * p.b_i)
             keep(state)
     return snapshots if emit is None else [state]

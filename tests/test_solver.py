@@ -231,9 +231,9 @@ class TestSimulate:
                 assert got.tobytes() == at_emit.tobytes() == want.tobytes()
 
     # A run holds one set of n-sized arrays: the factors (4n floats), the
-    # integrator's state (5n), a snapshot (2n) and the temporaries of its
+    # integrator's state (5n), one snapshot (2n) and the temporaries of its
     # statistics. In units of 8n bytes at n = 100000 the traced peak reads
-    # 13.0 (spot) and 15.0 (perturbation); with two (4, n) work arrays and
+    # 12.0 (spot and perturbation); with two (4, n) work arrays and
     # whole-field temporaries it read 18.0 and 23.8.
     @pytest.mark.parametrize("ic, bound", [("spot", 14.5), ("perturbation", 16.5)])
     def test_traced_peak_in_field_sizes(self, p_table1, ic, bound):
