@@ -170,9 +170,10 @@ _BLOCK_ROWS = 1024
 def _write_columns(path: Path, header: str, templates: Iterable[str], *columns: np.ndarray) -> None:
     """Write CSV text: ``header``, then the rows of equal-length float columns,
     _BLOCK_ROWS at a time. The k-th of ``templates`` is the k-th block's row
-    template, whose ``%r`` fields are filled in row order from that block's
-    rows; ``%r`` of a Python float is its repr. There must be one template
-    per block."""
+    template, whose ``%`` fields are filled in row order from that block's
+    rows: ``%r`` of a Python float is its repr, and ``%.17g`` is 17
+    significant digits, which also read back as the same float. There must
+    be one template per block."""
     starts = range(0, columns[0].size, _BLOCK_ROWS)
     with _create(path) as f:
         f.write(header + "\n")
@@ -190,16 +191,20 @@ def _snapshot_name(t: float) -> str:
 
 def _snapshot_rows(dom: Domain1D) -> tuple[str, ...]:
     """Row templates of a snapshot on ``dom``, one per block of _BLOCK_ROWS
-    nodes: x as its repr, then ``%r`` for beta and gamma. Every snapshot of a
-    run shares them, so x is formatted once, a block's slice at a time."""
+    nodes: x as its repr, then ``%.17g`` for beta and gamma. Every snapshot of
+    a run shares them, so x is formatted once, a block's slice at a time.
+    17 significant digits read back as the same float64, and take no search
+    for the shortest digit string that repr makes."""
     x = dom.x()
-    return tuple("".join(f"{v!r},%r,%r\n" for v in x[start:start + _BLOCK_ROWS].tolist())
+    return tuple("".join(f"{v!r},%.17g,%.17g\n" for v in x[start:start + _BLOCK_ROWS].tolist())
                  for start in range(0, x.size, _BLOCK_ROWS))
 
 
 def write_snapshot(state: FieldState, rows: tuple[str, ...], out_dir: Path) -> None:
     """Write ``state`` to its snapshot file, filling the row templates
-    ``rows`` that :func:`_snapshot_rows` made for its domain."""
+    ``rows`` that :func:`_snapshot_rows` made for its domain: x as its repr,
+    beta and gamma with 17 significant digits, which ``np.loadtxt`` reads
+    back bitwise equal."""
     _write_columns(out_dir / _snapshot_name(state.time), "x,beta,gamma",
                    rows, state.beta, state.gamma)
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gutpatterns
 import gutpatterns.cli as cli
@@ -333,6 +334,14 @@ def csv_reference(header: str, rows) -> str:
     return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
 
 
+def assert_snapshot_reads_back(path: Path, beta: np.ndarray, gamma: np.ndarray) -> None:
+    """``np.loadtxt`` reads the snapshot at ``path`` back as bitwise ``beta``
+    and ``gamma``."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(data[:, 1].view(np.int64), beta.view(np.int64))
+    assert np.array_equal(data[:, 2].view(np.int64), gamma.view(np.int64))
+
+
 def scan_csv_reference(grid: ScanGrid) -> str:
     rows = [[float(r_c)] + [int(v) for v in codes] for r_c, codes in zip(grid.r_c_axis, grid.verdicts)]
     return csv_reference("," + ",".join(_fmt(float(a)) for a in grid.a_axis), rows)
@@ -446,9 +455,17 @@ class TestWritersMatchReference:
         # must carry its own domain's x column, not one of another domain.
         # A's node counts end a block one row early, exactly and one row late,
         # and three rows into a third block.
+        # Specials: subnormals, the smallest normal float, the largest one
+        # below 1e16, 2**53 + 2 (an integer that 17 digits spell out), and
+        # 0.3 * b_i, whose repr is the short 3e+16.
         b_i = 1e17
-        special_beta = [0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0]
-        special_gamma = [1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0]
+        tiny = float(np.finfo(np.float64).tiny)
+        below_tiny = float(np.nextafter(tiny, 0.0))
+        below_1e16 = float(np.nextafter(1e16, 0.0))
+        special_beta = [0.0, 5e-324, 1e16, np.nextafter(1.0, 0.0) * b_i, 3e16 / 7.0,
+                        0.3 * b_i, below_1e16, 2.0**53 + 2, below_tiny, tiny]
+        special_gamma = [1e16, 0.0, 5e-324, 2.5, 1.0 / 3.0,
+                         tiny, below_tiny, 0.3 * b_i, 2.0**53 + 2, below_1e16]
         dom_b = Domain1D(length=0.011, n_points=19)
         for n_points in (32, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
             dom_a = Domain1D(length=0.03, n_points=n_points)
@@ -461,8 +478,24 @@ class TestWritersMatchReference:
                 out_dir.mkdir()
                 write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), cli._snapshot_rows(dom),
                                out_dir)
-                rows = [[float(v) for v in row] for row in zip(dom.x(), beta, gamma)]
-                assert (out_dir / "snap_t30.csv").read_text() == csv_reference("x,beta,gamma", rows)
+                # x as its repr, beta and gamma with 17 significant digits
+                rows = [[x, "%.17g" % b, "%.17g" % g]
+                        for x, b, g in zip(dom.x().tolist(), beta.tolist(), gamma.tolist())]
+                path = out_dir / "snap_t30.csv"
+                assert path.read_text() == csv_reference("x,beta,gamma", rows)
+                assert_snapshot_reads_back(path, beta, gamma)
+
+    # Finite non-negative fields, subnormals included, of a shared length.
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(beta=hnp.arrays(np.float64, st.shared(st.integers(16, 64), key="n"),
+                           elements=st.floats(min_value=0.0, allow_infinity=False)),
+           gamma=hnp.arrays(np.float64, st.shared(st.integers(16, 64), key="n"),
+                            elements=st.floats(min_value=0.0, allow_infinity=False)))
+    def test_snapshot_reads_back_bitwise(self, beta, gamma):
+        dom = Domain1D(length=0.03, n_points=beta.size)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_snapshot(FieldState(time=30.0, beta=beta, gamma=gamma), cli._snapshot_rows(dom), Path(tmp))
+            assert_snapshot_reads_back(Path(tmp) / "snap_t30.csv", beta, gamma)
 
     @pytest.mark.parametrize("config", ["xi2_samples = 2048\n", "xi2_samples = 333\nxi2_max = 1e9\n",
                                         f"xi2_samples = {BLOCK}\n", f"xi2_samples = {BLOCK + 1}\n"])

@@ -401,6 +401,29 @@ class TestSimulate:
         assert np.max(np.abs(scaled.beta - ref.beta) / denom) < 1e-9
 
 
+class TestPredationStiffness:
+    def test_default_dt_keeps_predation_rate_within_half_euler_limit(self, p_table1):
+        # max_stable_dt leaves out the explicit predation rate a*g*s/(s + b)^2
+        # (scaled fields), largest where b -> 0. Over a two-week spot run at
+        # the canonical dx and the default dt, dt times that rate peaks near
+        # 0.48 (0.96 at dt = 2, 1.92 at dt = 4). It must stay below 1, half
+        # of explicit Euler's real-axis limit of 2, until the bound accounts
+        # for it.
+        dom = Domain1D(length=0.003, n_points=301)
+        cfg = SimConfig(spot_center=0.0015)
+        integrator = _Integrator(p_table1, dom, cfg.dt)
+        s = initial_state(p_table1, dom, cfg)
+        b, g = s.beta / p_table1.b_i, s.gamma / p_table1.b_i
+        n_steps = round(cfg.t_end / cfg.dt)
+        worst = 0.0
+        for k in range(n_steps + 1):
+            if k:
+                b, g = integrator.advance(b, g, k * cfg.dt)
+            worst = max(worst, float(np.max(g / (b + integrator.s) ** 2)))
+        assert cfg.t_end == 20160.0 and worst > 0.0
+        assert cfg.dt * p_table1.a * integrator.s * worst < 1.0
+
+
 class TestManufacturedSolution:
     """The production step on exact fields b, g (scaled by b_i) that it does
     not solve by itself: the source S = u_t - d*u_xx - R(u), at t_n, is
