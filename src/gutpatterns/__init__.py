@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`gutpatterns.params` — parameters, kinetics, steady state, calibration
+- :mod:`gutpatterns.params` — parameters, steady state, calibration
 - :mod:`gutpatterns.stability` — Jacobian, ODE/Turing verdicts, dispersion
 - :mod:`gutpatterns.solver` — semi-implicit 1-D integrator
 - :mod:`gutpatterns.analysis` — peak detection and median peak spacing
@@ -23,7 +23,6 @@ from .params import (
     Equilibrium,
     ModelParams,
     calibrate_fe,
-    reaction_terms,
     steady_state,
     table1_params,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "initial_state",
     "jacobian",
     "ode_stability",
-    "reaction_terms",
     "scan_region",
     "simulate",
     "steady_state",

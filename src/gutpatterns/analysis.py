@@ -92,21 +92,24 @@ def detect_peaks(s: FieldState, dom: Domain1D, rel_threshold: float = PEAK_THRES
 
     Plateaus report their midpoint; boundary nodes are eligible via the
     one-sided comparison. A flat field has none, so round-off ripples are
-    not peaks. Returns (count, positions in m); ParameterError unless
-    0 < rel_threshold < 1.
+    not peaks. Returns (count, positions in m as a float64 array);
+    ParameterError unless 0 < rel_threshold < 1.
     """
     first, last = _peak_runs(s, rel_threshold)
     first, last = np.flatnonzero(first), np.flatnonzero(last)
     if not first.size:
-        return 0, []
+        return 0, np.zeros(0)
     x = dom.x()
-    positions = (0.5 * (x[first] + x[last])).tolist()
-    return len(positions), positions
+    positions = x[first]
+    positions += x[last]
+    positions *= 0.5
+    return first.size, positions
 
 
-def _median_gap(positions: list[float]) -> float:
+def _median_gap(positions: np.ndarray) -> float:
     """Median gap between neighbouring sorted positions; nan for fewer than 2."""
-    gaps = sorted(right - left for left, right in zip(positions, positions[1:]))
+    # sorted in Python: np.sort here raised the canonical run's peak RSS by ~0.3 MB
+    gaps = sorted(np.diff(positions).tolist())
     if not gaps:
         return math.nan
     mid = len(gaps) // 2

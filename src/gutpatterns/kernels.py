@@ -131,7 +131,7 @@ def factor(n: int, mu_b: float, mu_c: float) -> Callable[[np.ndarray], Callable[
 
 
 def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, out, scratch):
-    """One step of both fields.
+    """One step of both fields: the package's one statement of the reaction.
 
     ``out`` is a (2, n) C-contiguous array and ``solve`` is :func:`factor`'s
     ``bind`` applied to it; ``scratch`` is one more n-node row. Every
@@ -141,7 +141,8 @@ def step_arrays(b, g, dt, solve, r_b, a, s, f_e, f_b, r_c, out, scratch):
     ``rhs_b = b + dt*(r_b*(1 - b)*b - a*b*g/(s + b) + f_e*(1 - b)*g)`` and
     ``rhs_g = g + dt*(f_b*b - r_c*g)`` evaluated left to right, with the
     predation term computed first, so the right-hand sides are bitwise those
-    of the expressions.
+    of the expressions; the tests check them bitwise against those
+    expressions, written once as ``reaction`` in ``tests/conftest.py``.
     """
     rhs_b, rhs_g = out
     np.add(s, b, out=rhs_b)

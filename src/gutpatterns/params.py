@@ -1,4 +1,4 @@
-"""Model parameters, reaction kinetics, and the positive homogeneous steady state.
+"""Model parameters and the positive homogeneous steady state.
 
 The model couples a bacterial density beta (logistic growth, Holling type II
 predation, porosity feedback) to a phagocyte density gamma (recruitment
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import CalibrationError, ParameterError
 
@@ -79,11 +77,6 @@ class ModelParams:
         """Equilibrium phagocyte/bacteria ratio f_b / r_c."""
         return self.f_b / self.r_c
 
-    @property
-    def delta(self) -> float:
-        """Diffusivity ratio d_b / d_c."""
-        return self.d_b / self.d_c
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -108,25 +101,6 @@ TABLE1 = {
 }
 
 DEFAULT_THETA = 0.3
-
-
-def reaction_terms(p: ModelParams, beta, gamma):
-    """Reaction right-hand sides (d beta/dt, d gamma/dt), no diffusion.
-
-    Accepts scalars or numpy arrays; inputs must be non-negative and finite.
-    """
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
-        raise ParameterError("densities must be finite")
-    if np.any(beta < 0.0) or np.any(gamma < 0.0):
-        raise ParameterError("densities must be non-negative")
-    logistic = 1.0 - beta / p.b_i
-    dbeta = p.r_b * logistic * beta - p.a * beta * gamma / (p.s_b + beta) + p.f_e * logistic * gamma
-    dgamma = p.f_b * beta - p.r_c * gamma
-    if dbeta.ndim == 0:
-        return float(dbeta), float(dgamma)
-    return dbeta, dgamma
 
 
 def _equilibrium_residual(p: ModelParams, x: float) -> float:

@@ -10,6 +10,13 @@ FIG2_DOMAIN = Domain1D(length=0.03, n_points=3000)
 FIG2_CFG = SimConfig(t_end=20160.0, dt=1.0, snapshot_every=1440.0)
 
 
+def reaction(b, g, r_b, a, s, f_e, f_b, r_c):
+    """The reaction's right-hand sides (R_b, R_g) on fields scaled by b_i, as
+    allocating expressions evaluated left to right: the oracle that
+    ``kernels.step_arrays`` matches bitwise."""
+    return r_b * (1.0 - b) * b - a * b * g / (s + b) + f_e * (1.0 - b) * g, f_b * b - r_c * g
+
+
 @pytest.fixture(scope="session")
 def p_table1():
     return table1_params()

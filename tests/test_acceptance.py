@@ -95,7 +95,7 @@ def test_criterion_5_dispersion_band(p_table1, jac_table1):
     assert lam_minus == pytest.approx(oracle_minus, rel=1e-6)
     j = jac_table1
     assert lam_minus == pytest.approx(j.det / (p_table1.d_c * j.m11), rel=0.02)
-    assert lam_plus == pytest.approx(j.m11 / (p_table1.d_c * p_table1.delta), rel=0.02)
+    assert lam_plus == pytest.approx(j.m11 / p_table1.d_b, rel=0.02)
     eig = np.linalg.eigvals([[j.m11, j.m12], [j.m21, j.m22]])
     assert growth_rate(p_table1, j, 0.0) == pytest.approx(max(eig.real), abs=1e-12)
     _passed(5, f"band=({lam_minus:.3e}, {lam_plus:.3e}) 1/m^2, oracle and Taylor agree")

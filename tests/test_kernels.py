@@ -10,6 +10,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from gutpatterns import kernels
 from gutpatterns.errors import InvariantError, ParameterError
+from tests.conftest import reaction
 
 
 def dense_system(n, mu):
@@ -77,13 +78,11 @@ def test_stacked_solve_matches_per_field_solves(n, rng):
     np.testing.assert_array_equal(x.view(np.int64), expected.view(np.int64))  # bitwise, in place
 
 
-def reference_step(b, g, dt, factors_b, factors_c, r_b, a, s, f_e, f_b, r_c):
+def reference_step(b, g, dt, factors_b, factors_c, *rates):
     """The step as allocating expressions, each evaluated left to right,
     then one solve per field."""
-    logistic = 1.0 - b
-    rhs_b = b + dt * (r_b * logistic * b - a * b * g / (s + b) + f_e * logistic * g)
-    rhs_g = g + dt * (f_b * b - r_c * g)
-    return field_solve(factors_b, rhs_b), field_solve(factors_c, rhs_g)
+    reaction_b, reaction_g = reaction(b, g, *rates)
+    return field_solve(factors_b, b + dt * reaction_b), field_solve(factors_c, g + dt * reaction_g)
 
 
 @pytest.mark.parametrize("n", [16, 3000])

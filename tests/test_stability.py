@@ -168,7 +168,7 @@ class TestDispersion:
         lam_minus, lam_plus = band_edges(p_table1, jac_table1)
         j = jac_table1
         taylor_minus = j.det / (p_table1.d_c * j.m11)
-        taylor_plus = j.m11 / (p_table1.d_c * p_table1.delta)
+        taylor_plus = j.m11 / p_table1.d_b
         assert lam_minus == pytest.approx(taylor_minus, rel=0.02)
         assert lam_plus == pytest.approx(taylor_plus, rel=0.02)
 
