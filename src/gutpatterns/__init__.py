@@ -10,7 +10,8 @@ Library layout:
 - :mod:`gutpatterns.cli` — command-line interface
 """
 
-from .analysis import PatternReport, analyze_pattern, detect_peaks
+import importlib
+
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -20,14 +21,14 @@ from .errors import (
     ParameterError,
 )
 from .params import (
+    Domain1D,
     Equilibrium,
     ModelParams,
+    SimConfig,
     calibrate_fe,
     steady_state,
     table1_params,
 )
-from .scan import ScanGrid, Verdict, classify_point, scan_region
-from .solver import Domain1D, FieldState, SimConfig, initial_state, simulate
 from .stability import (
     DispersionCurve,
     Jacobian2x2,
@@ -41,6 +42,20 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
+
+# name -> its module, imported on first access (PEP 562), so that importing
+# the package loads no numpy
+_LAZY = {
+    **dict.fromkeys(("PatternReport", "analyze_pattern", "detect_peaks"), "analysis"),
+    **dict.fromkeys(("ScanGrid", "Verdict", "classify_point", "scan_region"), "scan"),
+    **dict.fromkeys(("FieldState", "initial_state", "simulate"), "solver"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name))
 
 __all__ = [
     "CalibrationError",

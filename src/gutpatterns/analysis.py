@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .solver import Domain1D, FieldState
+from .params import PEAK_THRESHOLD, Domain1D
+from .solver import FieldState
 
 FLAT_FIELD_RTOL = 1e-12  # of max|beta|: a field whose range is within this is flat
 LOW_VARIANCE_FACTOR = 1e-6  # of beta_ref^2: skip band checking below this
-PEAK_THRESHOLD = 0.1  # default peak cut, relative to max(beta)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ byte for byte. Each handler runs all that can reject the config before its
 outputs start, so a run rejected at validation (exit 1) writes nothing;
 simulate starts them at its first snapshot, made after ``solver.simulate``
 checks every input, and a failed run keeps its manifest and earlier snapshots.
+Only the handlers that compute on arrays (dispersion, simulate, scan) load
+numpy and the modules built on it.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation, a LAPACK that could not be loaded, an output that could not be
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import math
 import os
@@ -30,9 +33,6 @@ from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import PEAK_THRESHOLD, analyze_pattern, snapshot_stats
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -40,10 +40,34 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .params import DEFAULT_THETA, TABLE1, ModelParams, calibrate_fe, steady_state
-from .scan import ScanGrid, Verdict, scan_region
-from .solver import Domain1D, FieldState, SimConfig, simulate, snapshot_times
+from .params import (DEFAULT_THETA, PEAK_THRESHOLD, TABLE1, Domain1D, ModelParams, SimConfig,
+                     calibrate_fe, steady_state)
 from .stability import DISPERSION_SAMPLES, band_edges, dispersion, jacobian, turing_classify
+
+# The names taken from the array layers, by module. Code here binds those it
+# calls into this module's globals (_bind) before calling them, as does an
+# attribute lookup (__getattr__); a name bound already, as a replacement, is kept.
+_LAZY = {
+    "analysis": ("analyze_pattern", "snapshot_stats"),
+    "scan": ("Verdict", "scan_region"),
+    "solver": ("simulate", "snapshot_times"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each of ``modules`` and bind its _LAZY names here unless bound."""
+    for module in modules:
+        imported = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Every config key with its default, in manifest order. A key's type is that
@@ -174,6 +198,7 @@ def _write_columns(path: Path, header: str, templates: Iterable[str], *columns: 
     rows: ``%r`` of a Python float is its repr, and ``%.17g`` is 17
     significant digits, which also read back as the same float. There must
     be one template per block."""
+    import numpy as np
     starts = range(0, columns[0].size, _BLOCK_ROWS)
     with _create(path) as f:
         f.write(header + "\n")
@@ -304,6 +329,8 @@ def _scan_codes(grid: ScanGrid) -> tuple[bytearray, np.ndarray, np.ndarray, np.n
     Every code is one byte but INFEASIBLE's "-1", and a column is INFEASIBLE
     in every row or in none, so each code sits at a fixed offset in a row.
     """
+    import numpy as np
+    _bind("scan")
     steps, above = grid.steps, grid.above
     infeasible = above == Verdict.INFEASIBLE
     if np.any(infeasible & (steps != 0)):
@@ -339,6 +366,7 @@ def write_scan_csv(grid: ScanGrid, path: Path) -> None:
     numpy arrays, and axis values are formatted _BLOCK_ROWS at a time, so no
     Python object is kept per column or per row.
     """
+    import numpy as np
     row, change_rows, change_at, change_digits = _scan_codes(grid)
     codes = np.frombuffer(row, dtype=np.uint8)
     # the changes of one row are a run: run k is bounds[k] to bounds[k + 1] - 1
@@ -406,6 +434,7 @@ def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _simulate(cfg: RunConfig, out_dir: Path) -> None:
+    _bind("analysis", "solver")
     p, eq, j = _linearised(cfg)
     band = band_edges(p, j)
     dom, sim = cfg.domain(), cfg.sim_config()
@@ -434,6 +463,7 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _scan(cfg: RunConfig, out_dir: Path) -> None:
+    _bind("scan")
     grid = scan_region(cfg.params(), (cfg.r_c_min, cfg.r_c_max), (cfg.a_min, cfg.a_max),
                        (cfg.r_c_steps, cfg.a_steps), theta=cfg.theta_target)
     _start_outputs(cfg, out_dir)

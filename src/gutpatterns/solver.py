@@ -9,9 +9,7 @@ clamped, anything larger raises InvariantError.
 from __future__ import annotations
 
 import math
-import operator
 import random
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -19,31 +17,10 @@ import numpy as np
 
 from . import kernels
 from .errors import InvariantError, ParameterError
-from .params import ModelParams, check_count, steady_state
+from .params import Domain1D, ModelParams, SimConfig, steady_state
 
 CLAMP_TOL = 1e-12          # scaled by b_i
 DT_SAFETY = 0.2            # explicit-reaction stability margin
-
-
-@dataclass(frozen=True)
-class Domain1D:
-    """Uniform 1-D grid on [0, length] with Neumann ends; the defaults are
-    the canonical 3 cm, 10 um grid."""
-
-    length: float = 0.03
-    n_points: int = 3000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ParameterError(f"length must be positive, got {self.length!r}")
-        check_count("n_points", self.n_points, 16)
-
-    @property
-    def dx(self) -> float:
-        return self.length / (self.n_points - 1)
-
-    def x(self) -> np.ndarray:
-        return np.linspace(0.0, self.length, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -53,68 +30,6 @@ class FieldState:
     time: float
     beta: np.ndarray
     gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Time stepping and initial-condition description.
-
-    ``ic`` selects between a localized bacterial spot on an empty background
-    ("spot") and a relative-noise perturbation of the homogeneous equilibrium
-    ("perturbation"). The perturbation's draws come from the standard
-    library's ``random.Random(seed)``, whose sequence for a seed Python keeps
-    the same across versions, so a seed gives the same initial fields on
-    every supported Python and numpy. ``seed`` is a non-negative integer.
-    """
-
-    dt: float = 1.0
-    t_end: float = 20160.0
-    snapshot_every: float = 1440.0
-    ic: str = "spot"
-    spot_center: float = 0.015
-    spot_half_width: float = 5e-5
-    spot_amplitude: float = 1e15
-    background: float = 0.0
-    noise_rel: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if self.t_end < self.dt:
-            raise ParameterError(f"t_end must be >= dt, got {self.t_end!r}")
-        if not _is_multiple(self.t_end, self.dt):
-            raise ParameterError(f"t_end must be a multiple of dt, got {self.t_end!r}")
-        # no run of ~sys.maxsize steps ends; since snapshot_every >= dt, this
-        # also keeps the snapshots, which snapshot_times lists, below the
-        # sys.maxsize items a list can hold
-        steps = self.t_end / self.dt
-        if steps >= sys.maxsize - 2:
-            raise ParameterError(f"t_end/dt = {steps!r}: too many steps")
-        if not (self.snapshot_every >= self.dt and _is_multiple(self.snapshot_every, self.dt)):
-            raise ParameterError(f"snapshot_every must be a positive multiple of dt, got {self.snapshot_every!r}")
-        if self.ic not in ("spot", "perturbation"):
-            raise ParameterError(f"unknown initial condition {self.ic!r}")
-        if self.spot_amplitude < 0.0 or self.background < 0.0 or self.noise_rel < 0.0:
-            raise ParameterError("initial-condition amplitudes must be non-negative")
-        if self.ic == "perturbation" and self.noise_rel > 1.0:
-            raise ParameterError(
-                f"noise_rel must be <= 1 for a perturbation (larger draws negative densities), "
-                f"got {self.noise_rel!r}"
-            )
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
-        object.__setattr__(self, "seed", seed)
-
-
-def _is_multiple(span: float, dt: float) -> bool:
-    """Whether span/dt lies within 1e-9 of an integer; false when it overflows."""
-    ratio = span / dt
-    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
 
 
 def max_stable_dt(p: ModelParams) -> float:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConsistencyError, ParameterError
 from .params import Equilibrium, ModelParams, check_count
 
@@ -52,6 +50,7 @@ class StabilityVerdict:
     ode_stable: bool
     turing_condition_value: float
     turing: bool
+    critical_diffusivity_ratio: float  # least d_c/d_b with a band; inf when M11 <= 0
 
 
 @dataclass(frozen=True)
@@ -94,13 +93,20 @@ def turing_classify(p: ModelParams, j: Jacobian2x2) -> StabilityVerdict:
     The Turing condition is 0 < value < r_c, where the paper's condition
     value equals M11 at the equilibrium (the tests check that identity).
     Since trace = M11 - r_c, a Turing verdict implies ODE stability.
+
+    The critical diffusivity ratio, ((sqrt(det) + sqrt(det - M11*M22))/M11)^2,
+    is the d_c/d_b above which a band exists; with M11 <= 0 no ratio gives
+    one, and it is inf. ``turing`` is the sign condition alone.
     """
+    ode_stable = ode_stability(j)  # det > 0 from here on
+    root = (math.sqrt(j.det) + math.sqrt(j.det - j.m11 * j.m22)) / j.m11 if j.m11 > 0.0 else math.inf
     return StabilityVerdict(
         trace=j.trace,
         det=j.det,
-        ode_stable=ode_stability(j),
+        ode_stable=ode_stable,
         turing_condition_value=j.m11,
         turing=0.0 < j.m11 < p.r_c,  # strict at both boundaries
+        critical_diffusivity_ratio=root * root,
     )
 
 
@@ -138,6 +144,7 @@ def growth_rate(p: ModelParams, j: Jacobian2x2, xi2):
     """Largest real part among the two roots of lambda^2 + a1*lambda + a2 = 0,
     evaluated _GROWTH_RATE_BLOCK samples at a time, so that the formula's
     temporaries stay one block in size."""
+    import numpy as np
     xi2 = np.asarray(xi2, dtype=float)
     samples = xi2.ravel()
     out = np.empty_like(samples)
@@ -168,6 +175,7 @@ def dispersion(
     six decades around the characteristic scale sqrt(det/(d_b*d_c)).
     Non-finite band edges, samples or growth rates raise ParameterError.
     """
+    import numpy as np
     check_count("samples", samples, 2)
     band = band_edges(p, j)
     if xi2_max is not None:

@@ -100,6 +100,7 @@ class TestSubcommands:
         assert "ode_stable = true" in lines
         p = table1_params()  # the condition value is M11, to the last digit
         assert f"turing_condition_value = {jacobian(p, steady_state(p)).m11!r}" in lines
+        assert "critical_diffusivity_ratio = 14.053424466538212" in lines
 
     def test_dispersion_writes_curve(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -771,6 +772,60 @@ def test_scipy_loaded_only_by_simulate(tmp_path, subcommand, config, loads_lapac
         "0", "False", "False", int(loads_lapack), "False", "False", "False")
 
 
+# Imports the package and the CLI in a fresh interpreter, runs one subcommand and
+# prints its exit code and whether numpy was loaded after each of the three steps;
+# exits with the CLI's code. With "blocked" first, numpy cannot be imported at all.
+_NUMPY_PROBE = """\
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+loaded = lambda: sys.modules.get("numpy") is not None
+import gutpatterns
+steps = [loaded()]
+import gutpatterns.cli as cli
+steps.append(loaded())
+code = cli.main(sys.argv[2:])
+print(code, *steps, loaded())
+sys.exit(code)
+"""
+
+
+def _numpy_probe(tmp_path, mode, subcommand, config):
+    cfg = tmp_path / f"{subcommand}.cfg"
+    cfg.write_text(config)
+    return subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, mode, subcommand, "--config", str(cfg),
+         "--out", str(tmp_path / mode / subcommand)],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("subcommand,config,code,loads", [
+    ("steady", "", 0, False),
+    ("stability", "", 0, False),
+    ("steady", "r_b = -1\n", 1, False),  # rejected at parse
+    ("dispersion", "", 0, True),
+    ("scan", "r_c_steps = 12\na_steps = 10\n", 0, True),
+    ("simulate", SMALL_SIM, 0, True),
+])
+def test_numpy_loaded_only_by_array_subcommands(tmp_path, subcommand, config, code, loads):
+    # steady and stability are closed forms in math alone; importing numpy cost
+    # them about half their start-up
+    proc = _numpy_probe(tmp_path, "normal", subcommand, config)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == [str(code), "False", "False", str(loads)]
+
+
+@pytest.mark.parametrize("subcommand", ["steady", "stability"])
+def test_closed_form_subcommands_run_without_numpy(tmp_path, subcommand):
+    outputs = []
+    for mode in ("normal", "blocked"):
+        proc = _numpy_probe(tmp_path, mode, subcommand, "")
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        outputs.append((proc.stdout, (tmp_path / mode / subcommand / "manifest").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def _has_vm_hwm():
     try:
         return "VmHWM:" in Path("/proc/self/status").read_text()
@@ -780,7 +835,8 @@ def _has_vm_hwm():
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_simulate_peak_memory_close_to_steady(tmp_path):
-    # steady loads numpy and the package; a small simulate adds a few fields and its
+    # steady itself loads no numpy, but the probe imports kernels, which does, so its
+    # "steady" is numpy and the package; a small simulate adds a few fields and its
     # writers, 1.5-1.8 MB on Linux with numpy 2.4, from either initial condition.
     # Taking LAPACK from scipy's extension module added ~3.4 MB more, a process
     # pool for the writers ~1.3 MB, importing scipy.linalg ~27 MB, and drawing the
@@ -799,6 +855,7 @@ def test_simulate_peak_memory_close_to_steady(tmp_path):
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_dispersion_peak_memory_close_to_steady(tmp_path):
+    # "steady" is numpy and the package, as above, since the probe imports kernels.
     # 200000 samples are two 1.6 MB columns. growth_rate evaluates them a
     # block at a time and the CSV writer formats a block of rows at a time:
     # ~7.2 MB over steady. The whole-array growth rate held ~6 sample-sized
@@ -818,6 +875,47 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     probe = "import gutpatterns.cli as cli\nfrom child import install_timers\ninstall_timers(cli)\n"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# The handlers bind the array layers' names on first use; each must call the
+# timer that child.py put in its place, or that layer's benchmark metrics read 0.
+_TRACER_PROBE = """\
+import json, sys
+import gutpatterns.cli as cli
+from child import install_timers
+spans, counts = install_timers(cli)
+cli._usable_cpus = lambda: 1  # every snapshot is written, and timed, in this process
+simulate, scan, out = sys.argv[1:]
+codes = [cli.main(["simulate", "--config", simulate, "--out", out]),
+         cli.main(["scan", "--config", scan, "--out", out])]
+print(json.dumps({"codes": codes, "calls": {span: calls for span, (calls, _) in spans.items()}}))
+"""
+
+
+def test_benchmark_tracer_times_every_layer(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    simulate, scan = tmp_path / "simulate.cfg", tmp_path / "scan.cfg"
+    simulate.write_text(SMALL_SIM)  # 720 steps, snapshots at 0, 360 and 720
+    scan.write_text("r_c_steps = 12\na_steps = 10\n")
+    proc = subprocess.run([sys.executable, "-c", _TRACER_PROBE, str(simulate), str(scan), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["calls"] == {
+        "kernels.step_arrays": 720,
+        "solver.simulate": 1,
+        "scan.scan_region": 1,
+        "analysis.detect_peaks": 1,
+        "analysis.snapshot_stats": 3,
+        "analysis.analyze_pattern": 1,
+        "cli.write_snapshot": 3,
+        "cli.write_scan_csv": 1,
+        "cli.parse_config": 2,
+        "stability.dispersion": 0,
+        "params.steady_state": 1,
+    }
 
 
 def test_runconfig_defaults_match_canonical_set():

@@ -96,6 +96,9 @@ class TestTuringClassify:
         v = turing_classify(p, jacobian(p, steady_state(p)))
         assert v.turing_condition_value < 0.0
         assert not v.turing
+        # with M11 <= 0 no diffusivity ratio opens a band
+        assert v.critical_diffusivity_ratio == math.inf
+        assert band_edges(replace(p, d_c=p.d_b * 1e12), jacobian(p, steady_state(p))) is None
 
     def test_small_rc_matches_arithmetic(self, p_table1):
         p = replace(p_table1, r_c=1e-3, f_b=1e-4)
@@ -105,6 +108,27 @@ class TestTuringClassify:
         value = condition_value(p, eq)  # independent of M11's formula
         assert v.turing_condition_value == pytest.approx(value, rel=1e-12)
         assert v.turing == (0.0 < value < p.r_c)
+
+    def test_critical_diffusivity_ratio_is_band_onset(self, p_table1, jac_table1):
+        ratio = turing_classify(p_table1, jac_table1).critical_diffusivity_ratio
+        assert ratio == pytest.approx(14.053424, rel=1e-7)
+        below, above = (replace(p_table1, d_c=p_table1.d_b * ratio * (1.0 + eps)) for eps in (-1e-6, 1e-6))
+        assert band_edges(below, jac_table1) is None
+        # just above onset the band is a narrow one around sqrt(det/(d_b*d_c))
+        lam_minus, lam_plus = band_edges(above, jac_table1)
+        xi2_c = math.sqrt(jac_table1.det / (above.d_b * above.d_c))
+        assert lam_minus < xi2_c < lam_plus < 1.01 * lam_minus
+
+    def test_critical_diffusivity_ratio_random(self, rng):
+        for _ in range(300):
+            p = random_params(rng)
+            j = jacobian(p, steady_state(p))
+            ratio = turing_classify(p, j).critical_diffusivity_ratio
+            if j.m11 <= 0.0:
+                assert ratio == math.inf
+                continue
+            assert band_edges(replace(p, d_c=p.d_b * ratio * (1.0 - 1e-6)), j) is None
+            assert band_edges(replace(p, d_c=p.d_b * ratio * (1.0 + 1e-6)), j) is not None
 
     def test_identity_and_consistency_random(self, rng):
         for _ in range(300):
