@@ -10,8 +10,8 @@ byte for byte. Each handler runs all that can reject the config before its
 outputs start, so a run rejected at validation (exit 1) writes nothing;
 simulate starts them at its first snapshot, made after ``solver.simulate``
 checks every input, and a failed run keeps its manifest and earlier snapshots.
-Only the handlers that compute on arrays (dispersion, simulate, scan) load
-numpy and the modules built on it.
+Only the handlers that compute on arrays (dispersion, simulate) load numpy
+and the modules built on it.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
 violation, a LAPACK that could not be loaded, an output that could not be
@@ -23,12 +23,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
-import json
 import math
 import os
-import pickle
 import sys
 import warnings
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -253,6 +252,7 @@ def _usable_cpus() -> int:
 
 def _reap(pid: int, report: int, path: Path, status: int | None = None) -> BaseException | None:
     """The error of the child writing ``path``, or None; its pipe is drained before waitpid."""
+    import pickle
     with open(report, "rb") as f:
         error = f.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1] if status is None else status)
@@ -283,7 +283,8 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
     write after it ends or at the end of the with-block, which waits for every
     child and lets its own error through unchanged. A child killed by a signal
     or exiting non-zero without a report is an OSError naming its file."""
-    import select  # only here, so the other subcommands never load it
+    import pickle  # these two only here, so the other subcommands never load them
+    import select
     k = min(_usable_cpus(), n_snapshots) if hasattr(os, "fork") else 1
     rows = _snapshot_rows(dom)
     children = {}  # pid -> (read end of its report pipe, the file it writes)
@@ -320,70 +321,51 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
         raise error
 
 
-def _scan_codes(grid: ScanGrid) -> tuple[bytearray, np.ndarray, np.ndarray, np.ndarray]:
-    """The codes of the first row of ``grid``, as CSV bytes that end in a
-    newline, and the changes below it, sorted by row: (row, change_rows,
-    change_at, change_digits), the byte at change_at[j] turning to
-    change_digits[j] from row change_rows[j] on.
+# a code's cell in a row of scan.csv, by code: INFEASIBLE's -1 takes the last
+_CELLS = (b"0,", b"1,", b"2,", b"-1,")
+
+
+def _scan_codes(grid: ScanGrid) -> tuple[bytearray, bytearray, dict[int, array]]:
+    """The codes of the first and the last row of ``grid``, as CSV bytes that
+    end in a newline, and where they differ: row -> the offsets of the bytes
+    that take their last-row value from that row on.
 
     Every code is one byte but INFEASIBLE's "-1", and a column is INFEASIBLE
     in every row or in none, so each code sits at a fixed offset in a row.
     """
-    import numpy as np
+    from array import array  # an extension module, which only scan loads
     _bind("scan")
-    steps, above = grid.steps, grid.above
-    infeasible = above == Verdict.INFEASIBLE
-    if np.any(infeasible & (steps != 0)):
-        raise ValueError("an INFEASIBLE column must have no ODE_UNSTABLE rows")
-    # the offset of each column's last byte: each cell ends one byte before its separator
-    offsets = np.where(infeasible, 3, 2)
-    np.cumsum(offsets, out=offsets)
-    offsets -= 2
-    row = bytearray(b",") * (int(offsets[-1]) + 2)
-    codes = np.frombuffer(row, dtype=np.uint8)  # writes through it change row
-    codes[-1] = ord("\n")
-    # a code's last byte, by code + 1: indexing by intp, where int8 arithmetic
-    # would page in numpy loops that nothing else in a scan runs (~0.2 MB)
-    digits = np.frombuffer(b"1012", dtype=np.uint8)
-    first_codes = above.astype(np.intp)
-    first_codes += 1
-    first_codes[steps > 0] = Verdict.ODE_UNSTABLE + 1
-    codes[offsets] = digits[first_codes]
-    codes[offsets[infeasible] - 1] = ord("-")
-    del infeasible, first_codes
-    # the columns whose code changes in some row, sorted by that row; a stable
-    # sort pages in less code than the default one
-    changing = np.flatnonzero((steps > 0) & (steps < grid.r_c_axis.size))
-    changing = changing[np.argsort(steps[changing], kind="stable")]
-    return row, steps[changing], offsets[changing], digits[above[changing].astype(np.intp) + 1]
+    infeasible, unstable = Verdict.INFEASIBLE, Verdict.ODE_UNSTABLE  # one enum lookup each
+    n_rows = len(grid.r_c_axis)
+    first, last, changes = bytearray(), bytearray(), defaultdict(lambda: array("q"))
+    for step, code in zip(grid.steps, grid.above):
+        if code == infeasible and step:
+            raise ValueError("an INFEASIBLE column must have no ODE_UNSTABLE rows")
+        first += _CELLS[unstable if step else code]
+        last += _CELLS[unstable if step >= n_rows else code]
+        if 0 < step < n_rows:
+            changes[step].append(len(first) - 2)
+    first[-1] = last[-1] = ord("\n")
+    return first, last, changes
 
 
 def write_scan_csv(grid: ScanGrid, path: Path) -> None:
     """Header of a values, then one row per r_c: the r_c value and its codes.
 
     One row of bytes is kept; as the row index reaches a column's threshold,
-    that column's code is overwritten in place. Offsets and code changes are
-    numpy arrays, and axis values are formatted _BLOCK_ROWS at a time, so no
-    Python object is kept per column or per row.
+    that column's code is overwritten in place. The changes are kept by row,
+    as arrays of byte offsets, and axis values are formatted _BLOCK_ROWS at a
+    time, so no Python object is kept per column or per row.
     """
-    import numpy as np
-    row, change_rows, change_at, change_digits = _scan_codes(grid)
-    codes = np.frombuffer(row, dtype=np.uint8)
-    # the changes of one row are a run: run k is bounds[k] to bounds[k + 1] - 1
-    bounds = np.flatnonzero(np.diff(change_rows, prepend=-1, append=-1))
+    row, last, changes = _scan_codes(grid)
     with _create(path, "wb", buffering=1 << 16) as f:
-        for start in range(0, grid.a_axis.size, _BLOCK_ROWS):
+        for start in range(0, len(grid.a_axis), _BLOCK_ROWS):
             f.write("".join(f",{v!r}" for v in grid.a_axis[start:start + _BLOCK_ROWS].tolist()).encode())
         f.write(b"\n")
-        run = 0
-        next_row = int(change_rows[0]) if change_rows.size else -1  # the row of that run
-        for start in range(0, grid.r_c_axis.size, _BLOCK_ROWS):
+        for start in range(0, len(grid.r_c_axis), _BLOCK_ROWS):
             for i, value in enumerate(grid.r_c_axis[start:start + _BLOCK_ROWS].tolist(), start):
-                if i == next_row:
-                    first, last = bounds[run], bounds[run + 1]
-                    codes[change_at[first:last]] = change_digits[first:last]
-                    run += 1
-                    next_row = int(change_rows[last]) if last < change_rows.size else -1
+                for at in changes.get(i, ()):
+                    row[at] = last[at]
                 f.write(f"{value!r},".encode())
                 f.write(row)
 
@@ -434,6 +416,7 @@ def _dispersion(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _simulate(cfg: RunConfig, out_dir: Path) -> None:
+    import json
     _bind("analysis", "solver")
     p, eq, j = _linearised(cfg)
     band = band_edges(p, j)
@@ -469,8 +452,9 @@ def _scan(cfg: RunConfig, out_dir: Path) -> None:
     _start_outputs(cfg, out_dir)
     write_scan_csv(grid, out_dir / "scan.csv")
     # a TURING column is TURING below its threshold, in n_rows - steps cells
-    turing_steps = grid.steps[grid.above == Verdict.TURING]
-    _print_values(turing_cells=int((grid.r_c_axis.size - turing_steps).sum()))
+    n_rows, turing = len(grid.r_c_axis), Verdict.TURING
+    _print_values(turing_cells=sum(n_rows - step for step, code in zip(grid.steps, grid.above)
+                                   if code == turing))
 
 
 _HANDLERS = {"steady": _steady, "stability": _stability, "dispersion": _dispersion,

@@ -37,6 +37,12 @@ def check_count(name: str, value: int, least: int) -> None:
         raise ParameterError(f"{name} must lie in [{least}, {MAX_COUNT}], got {value}")
 
 
+def check_theta(theta: float) -> None:
+    """ParameterError unless the target equilibrium load lies in (0, 1)."""
+    if not 0.0 < theta < 1.0:
+        raise ParameterError(f"theta_target must lie in (0, 1), got {theta!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The nine kinetic/transport coefficients of the model.
@@ -169,8 +175,7 @@ def calibrate_fe(p: ModelParams, theta_target: float) -> float:
     ``p.f_e`` is ignored. Raises CalibrationError when no positive f_e can
     balance the steady-state relation at the requested theta.
     """
-    if not 0.0 < theta_target < 1.0:
-        raise ParameterError(f"theta_target must lie in (0, 1), got {theta_target!r}")
+    check_theta(theta_target)
     kappa = p.kappa
     if kappa == 0.0:
         raise ParameterError("calibration requires f_b > 0")

@@ -4,24 +4,27 @@ Each grid point follows the calibration recipe: f_b = 0.1 * r_c and f_e
 chosen so the equilibrium sits at theta * b_i; points where no positive f_e
 exists are INFEASIBLE. The Turing condition reduces to 0 < M11 < r_c with
 M11 = value(a) independent of r_c, so each a-column is a step in r_c:
-scan_region finds one r_c threshold per column and returns the grid as those
-thresholds plus each column's verdict past them, in memory proportional to
-r_c_steps + a_steps; ScanGrid.verdicts builds the dense grid on request. A
-scalar path (classify_point) runs the same pipeline through the model-core
-and stability modules and stays the cross-check oracle in tests.
+scan_region works out one closed form per column and finds its r_c
+threshold by bisection, and returns the grid as those thresholds plus each
+column's verdict past them, in memory proportional to r_c_steps + a_steps;
+ScanGrid.verdicts builds the dense grid on request. It runs on the standard
+library alone; only ScanGrid.verdicts loads numpy. A scalar path
+(classify_point) runs the same pipeline through the model-core and
+stability modules and stays the cross-check oracle in tests.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
-import numpy as np
-
 from .errors import CalibrationError, ParameterError
-from .params import DEFAULT_THETA, ModelParams, calibrate_fe, check_count, steady_state
+from .params import (DEFAULT_THETA, ModelParams, calibrate_fe, check_count, check_theta,
+                     steady_state)
 from .stability import jacobian, turing_classify
 
 F_B_COUPLING = 0.1  # f_b = 0.1 * r_c across the scan
@@ -39,16 +42,18 @@ class ScanGrid:
     """Verdicts of a (r_c, a) grid, one step per a-column: column k is
     ODE_UNSTABLE in its first ``steps[k]`` rows and ``above[k]`` below them."""
 
-    r_c_axis: np.ndarray
-    a_axis: np.ndarray
-    steps: np.ndarray  # int, per a-column, 0 <= steps <= len(r_c_axis)
-    above: np.ndarray  # int8 Verdict code per a-column
+    r_c_axis: array  # 'd'
+    a_axis: array  # 'd'
+    steps: array  # 'q', per a-column, 0 <= steps <= len(r_c_axis)
+    above: array  # 'b', Verdict code per a-column
 
     @functools.cached_property
     def verdicts(self) -> np.ndarray:
         """The dense int8 grid, shape (len(r_c_axis), len(a_axis))."""
-        rows = np.arange(self.r_c_axis.size)[:, None]
-        return np.where(rows < self.steps, np.int8(Verdict.ODE_UNSTABLE), self.above)
+        import numpy as np
+        rows = np.arange(len(self.r_c_axis))[:, None]
+        return np.where(rows < np.asarray(self.steps), np.int8(Verdict.ODE_UNSTABLE),
+                        np.asarray(self.above, dtype=np.int8))
 
 
 def classify_point(base: ModelParams, r_c: float, a: float, theta: float = DEFAULT_THETA) -> Verdict:
@@ -65,6 +70,24 @@ def classify_point(base: ModelParams, r_c: float, a: float, theta: float = DEFAU
     if not verdict.ode_stable:
         return Verdict.ODE_UNSTABLE
     return Verdict.STABLE_ONLY
+
+
+def _linspace(lo: float, hi: float, n: int) -> array:
+    """``np.linspace(lo, hi, n)`` for n >= 2, bit for bit: ``i * step + lo``,
+    or ``(i / div) * delta + lo`` where the step underflows to 0 (numpy's
+    gh-5437 branch), and ``hi`` last."""
+    axis = array("d", [0.0]) * n
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        for i in range(n):
+            axis[i] = i / div * delta + lo
+    else:
+        for i in range(n):
+            axis[i] = i * step + lo
+    axis[-1] = hi
+    return axis
 
 
 def scan_region(
@@ -84,43 +107,30 @@ def scan_region(
         raise ParameterError("scan ranges must be non-empty")
     for axis, count in zip(("r_c", "a"), resolution):
         check_count(f"{axis} resolution", count, 2)
+    check_theta(theta)
 
-    r_c = np.linspace(r_c_range[0], r_c_range[1], resolution[0])
-    a = np.linspace(a_range[0], a_range[1], resolution[1])
+    r_c = _linspace(r_c_range[0], r_c_range[1], resolution[0])
+    a = _linspace(a_range[0], a_range[1], resolution[1])
+    steps = array("q", [0]) * len(a)
+    above = array("b", [Verdict.INFEASIBLE]) * len(a)
     kappa = F_B_COUPLING  # f_b/r_c is constant by construction
-    s = base.s_b / base.b_i
-
-    # Calibrated feedback per a-column, a * kappa * theta / ((s + theta) *
-    # (1 - theta)) - r_b; independent of r_c since kappa is. Each whole-axis
-    # value is worked out in place on one array, in the order its formula
-    # gives, and freed once used.
-    with np.errstate(over="ignore"):
-        f_e_kappa = a * kappa
-        f_e_kappa *= theta
-        f_e_kappa /= (s + theta) * (1.0 - theta)
-        f_e_kappa -= base.r_b
-        finite = np.isfinite(f_e_kappa / kappa)
-    if not finite.all():
-        raise ParameterError(f"calibrated f_e must be finite; it overflows from a = {float(a[~finite][0])!r}")
-    del finite
-    feasible = f_e_kappa > 0.0
-
-    # Turing condition value, a * kappa * theta^2 / (s + theta)^2 - r_b * theta
-    # - f_e_kappa; equals M11 at the calibrated equilibrium.
-    value = a * kappa
-    value *= theta**2
-    value /= (s + theta) ** 2
-    value -= base.r_b * theta
-    value -= f_e_kappa
-    del f_e_kappa
-
-    # A feasible column is ODE_UNSTABLE in its first `steps` rows (r_c <= value;
-    # linspace is non-decreasing), then TURING if value > 0, else STABLE_ONLY.
-    # An infeasible column has no unstable rows and is INFEASIBLE throughout.
-    above = np.where(value > 0.0, Verdict.TURING, Verdict.STABLE_ONLY).astype(np.int8)
-    above[~feasible] = Verdict.INFEASIBLE
-    steps = np.searchsorted(r_c, value, side="right")
-    del value
-    steps = np.where(feasible, steps, 0)
+    s, r_b = base.s_b / base.b_i, base.r_b
+    f_e_scale, r_b_theta = (s + theta) * (1.0 - theta), r_b * theta
+    value_factor, value_scale = theta**2, (s + theta) ** 2
+    turing, stable_only = Verdict.TURING, Verdict.STABLE_ONLY  # one enum lookup each
+    for k, a_k in enumerate(a):
+        # Calibrated feedback, a * kappa * theta / ((s + theta) * (1 - theta))
+        # - r_b; independent of r_c since kappa is.
+        f_e_kappa = a_k * kappa * theta / f_e_scale - r_b
+        if not math.isfinite(f_e_kappa / kappa):
+            raise ParameterError(f"calibrated f_e must be finite; it overflows from a = {a_k!r}")
+        if f_e_kappa > 0.0:
+            # Turing condition value, a * kappa * theta^2 / (s + theta)^2 -
+            # r_b * theta - f_e_kappa; equals M11 at the calibrated equilibrium.
+            # A feasible column is ODE_UNSTABLE in its first `steps` rows (r_c
+            # <= value; the axis is non-decreasing), then TURING if value > 0,
+            # else STABLE_ONLY. An infeasible column is INFEASIBLE throughout.
+            value = a_k * kappa * value_factor / value_scale - r_b_theta - f_e_kappa
+            steps[k] = bisect_right(r_c, value)
+            above[k] = turing if value > 0.0 else stable_only
     return ScanGrid(r_c_axis=r_c, a_axis=a, steps=steps, above=above)
-

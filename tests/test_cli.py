@@ -196,11 +196,17 @@ class TestSubcommands:
         assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
 
     # Each config is accepted by the parser but overflows, underflows or
-    # divides by zero in floating point somewhere in the subcommand; warnings
-    # are errors here, so a RuntimeWarning on the way to the rejection fails.
+    # divides by zero in floating point somewhere in the subcommand, or has a
+    # theta_target outside (0, 1) that the parser leaves to scan because f_e
+    # is given; warnings are errors here, so a RuntimeWarning on the way to
+    # the rejection fails.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("subcommand,config", [
         ("scan", "theta_target = 0.9999999\na_max = 1e308"),
+        ("scan", "f_e = 0.08\ntheta_target = 1.5"),
+        ("scan", "f_e = 0.08\ntheta_target = -0.5"),
+        ("scan", "f_e = 0.08\ntheta_target = 0"),
+        ("scan", "f_e = 0.08\ntheta_target = 1"),
         ("simulate", "length = 1e-300"),
         ("simulate", "length = 1e300"),
         ("simulate", "snapshot_every = 1e-300"),
@@ -515,11 +521,13 @@ class TestWritersMatchReference:
 @pytest.mark.parametrize("n_rows, n_cols, limit", [(50, 200000, 10e6), (200000, 50, 1e6)],
                          ids=["wide", "tall"])
 def test_scan_csv_writer_keeps_no_object_per_column_or_row(tmp_path, rng, n_rows, n_cols, limit):
-    # The writer's own memory, the grid being made before tracing starts: ~31 B
-    # per column in numpy arrays (offsets, the row, the changes sorted by row)
-    # and one block of axis values at a time, 6.3 MB wide and 0.1 MB tall.
-    # Lists of cells and offsets, a dict of changes and the whole header text
-    # took 53 MB wide, and 6.5 MB tall for the row values.
+    # The writer's own memory, the grid being made before tracing starts: ~11 B
+    # per column (the first and the last row's bytes, and the byte offsets of
+    # the changes in one array per row where some change) and one block of
+    # axis values at a time, 2.3 MB wide and 0.1 MB tall. numpy arrays of
+    # offsets and changes sorted by row took 6.3 MB wide; lists of cells and
+    # offsets, a dict of changes and the whole header text 53 MB wide, and
+    # 6.5 MB tall for the row values.
     grid = random_scan_grid(rng, n_rows, n_cols)
     tracemalloc.start()
     try:
@@ -714,9 +722,11 @@ class TestReproducibility:
 # whether a process pool's modules are loaded, whether numpy.random and
 # numpy.fft are loaded, and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it. Two usable CPUs are assumed, so that
-# simulate forks its snapshot writers on any machine.
+# simulate forks its snapshot writers on any machine. It imports json and pickle,
+# which only simulate loads, so that a peak compared with steady's counts
+# simulate's arrays and not the code of those modules.
 _IMPORT_PROBE = """\
-import sys
+import json, pickle, sys
 from gutpatterns import cli, kernels
 cli._usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
@@ -737,11 +747,11 @@ def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def _probe(tmp_path, subcommand, config):
+def _probe(tmp_path, subcommand, config, probe=_IMPORT_PROBE):
     cfg = tmp_path / f"{subcommand}.cfg"
     cfg.write_text(config)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, subcommand, "--config", str(cfg),
+        [sys.executable, "-c", probe, subcommand, "--config", str(cfg),
          "--out", str(tmp_path / subcommand)],
         capture_output=True, text=True, env=_env(), timeout=120,
     )
@@ -805,24 +815,25 @@ def _numpy_probe(tmp_path, mode, subcommand, config):
     ("stability", "", 0, False),
     ("steady", "r_b = -1\n", 1, False),  # rejected at parse
     ("dispersion", "", 0, True),
-    ("scan", "r_c_steps = 12\na_steps = 10\n", 0, True),
+    ("scan", "r_c_steps = 12\na_steps = 10\n", 0, False),
     ("simulate", SMALL_SIM, 0, True),
 ])
 def test_numpy_loaded_only_by_array_subcommands(tmp_path, subcommand, config, code, loads):
-    # steady and stability are closed forms in math alone; importing numpy cost
-    # them about half their start-up
+    # steady and stability are closed forms in math alone, and scan one closed
+    # form and one bisection per column; importing numpy cost them about half
+    # their start-up
     proc = _numpy_probe(tmp_path, "normal", subcommand, config)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == [str(code), "False", "False", str(loads)]
 
 
-@pytest.mark.parametrize("subcommand", ["steady", "stability"])
+@pytest.mark.parametrize("subcommand", ["steady", "stability", "scan"])
 def test_closed_form_subcommands_run_without_numpy(tmp_path, subcommand):
     outputs = []
     for mode in ("normal", "blocked"):
         proc = _numpy_probe(tmp_path, mode, subcommand, "")
         assert proc.returncode == 0 and not proc.stderr, proc.stderr
-        outputs.append((proc.stdout, (tmp_path / mode / subcommand / "manifest").read_bytes()))
+        outputs.append((proc.stdout, read_outputs(tmp_path / mode / subcommand)))
     assert outputs[0] == outputs[1]
 
 
@@ -863,6 +874,27 @@ def test_dispersion_peak_memory_close_to_steady(tmp_path):
     steady = int(_probe(tmp_path, "steady", "")[-1])
     dispersion = int(_probe(tmp_path, "dispersion", "xi2_samples = 200000\n")[-1])
     assert dispersion - steady < 9.5 * 1024, (steady, dispersion)
+
+
+# Runs one subcommand in a fresh interpreter that imports nothing but the CLI,
+# and prints its exit code and its peak RSS (VmHWM) in kB.
+_HWM_PROBE = """\
+import sys
+from gutpatterns import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
+def test_scan_peak_memory_close_to_steady(tmp_path):
+    # Neither run loads numpy, so a 3000 x 3000 scan adds only its axes, its
+    # per-column arrays and the writer's rows to steady: 0.1-0.3 MiB on Linux.
+    # Importing numpy for it added ~13 MiB.
+    steady = int(_probe(tmp_path, "steady", "", _HWM_PROBE)[-1])
+    scan = int(_probe(tmp_path, "scan", "r_c_steps = 3000\na_steps = 3000\n", _HWM_PROBE)[-1])
+    assert scan - steady < 2 * 1024, (steady, scan)
 
 
 # perfbench/child.py times a traced benchmark run by replacing functions in
