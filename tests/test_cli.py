@@ -722,12 +722,12 @@ class TestReproducibility:
 # whether a process pool's modules are loaded, whether numpy.random and
 # numpy.fft are loaded, and the peak RSS (VmHWM) in kB, or -1
 # where /proc/self/status does not give it. Two usable CPUs are assumed, so that
-# simulate forks its snapshot writers on any machine. It imports json and pickle,
-# which only simulate loads, so that a peak compared with steady's counts
-# simulate's arrays and not the code of those modules.
+# simulate forks its snapshot writers on any machine. It imports json, pickle,
+# analysis and solver, which only simulate loads, so that a peak compared with
+# steady's counts simulate's arrays and not the code of those modules.
 _IMPORT_PROBE = """\
 import json, pickle, sys
-from gutpatterns import cli, kernels
+from gutpatterns import analysis, cli, kernels, solver
 cli._usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
 try:
@@ -846,13 +846,15 @@ def _has_vm_hwm():
 
 @pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
 def test_simulate_peak_memory_close_to_steady(tmp_path):
-    # steady itself loads no numpy, but the probe imports kernels, which does, so its
-    # "steady" is numpy and the package; a small simulate adds a few fields and its
-    # writers, 1.5-1.8 MB on Linux with numpy 2.4, from either initial condition.
+    # steady itself loads no numpy, but the probe imports kernels, analysis and
+    # solver, so its "steady" is numpy and the package; a small simulate adds a few
+    # fields and its writers, 0.8-1.1 MiB on Linux with numpy 2.4, from either
+    # initial condition. Against a steady without simulate's modules it read
+    # 1.4-1.6 MiB, and 4.7-5.0 MiB at 30000 nodes.
     # Taking LAPACK from scipy's extension module added ~3.4 MB more, a process
     # pool for the writers ~1.3 MB, importing scipy.linalg ~27 MB, and drawing the
     # perturbation from numpy.random ~5.6 MB.
-    # At 30000 nodes the arrays show: 4.0-4.3 MiB over steady from either
+    # At 30000 nodes the arrays show: 3.7-3.9 MiB over steady from either
     # initial condition with one set of n-sized arrays, against 5.9 (spot) and
     # 6.8 MiB (perturbation) with two (4, n) work arrays and whole-field
     # temporaries in the initial state and the peak count.
