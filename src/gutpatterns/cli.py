@@ -325,39 +325,43 @@ def _snapshot_writer(dom: Domain1D, out_dir: Path, n_snapshots: int):
 _CELLS = (b"0,", b"1,", b"2,", b"-1,")
 
 
-def _scan_codes(grid: ScanGrid) -> tuple[bytearray, bytearray, dict[int, array]]:
+def _scan_codes(grid: ScanGrid) -> tuple[bytearray, bytearray, dict[int, array], int]:
     """The codes of the first and the last row of ``grid``, as CSV bytes that
-    end in a newline, and where they differ: row -> the offsets of the bytes
-    that take their last-row value from that row on.
+    end in a newline, where they differ: row -> the offsets of the bytes
+    that take their last-row value from that row on, and the TURING cells.
 
     Every code is one byte but INFEASIBLE's "-1", and a column is INFEASIBLE
     in every row or in none, so each code sits at a fixed offset in a row.
     """
     from array import array  # an extension module, which only scan loads
     _bind("scan")
-    infeasible, unstable = Verdict.INFEASIBLE, Verdict.ODE_UNSTABLE  # one enum lookup each
-    n_rows = len(grid.r_c_axis)
+    # plain ints: a numpy int8 compares with an IntEnum ~170x slower than with an int
+    infeasible, unstable, turing = (v.value for v in (Verdict.INFEASIBLE, Verdict.ODE_UNSTABLE, Verdict.TURING))
+    n_rows, turing_cells = len(grid.r_c_axis), 0
     first, last, changes = bytearray(), bytearray(), defaultdict(lambda: array("q"))
     for step, code in zip(grid.steps, grid.above):
         if code == infeasible and step:
             raise ValueError("an INFEASIBLE column must have no ODE_UNSTABLE rows")
+        if code == turing:  # TURING below its threshold, in n_rows - step cells
+            turing_cells += n_rows - step
         first += _CELLS[unstable if step else code]
         last += _CELLS[unstable if step >= n_rows else code]
         if 0 < step < n_rows:
             changes[step].append(len(first) - 2)
     first[-1] = last[-1] = ord("\n")
-    return first, last, changes
+    return first, last, changes, turing_cells
 
 
-def write_scan_csv(grid: ScanGrid, path: Path) -> None:
-    """Header of a values, then one row per r_c: the r_c value and its codes.
+def write_scan_csv(grid: ScanGrid, path: Path) -> int:
+    """Header of a values, then one row per r_c: the r_c value and its codes;
+    returns the number of TURING cells.
 
     One row of bytes is kept; as the row index reaches a column's threshold,
     that column's code is overwritten in place. The changes are kept by row,
     as arrays of byte offsets, and axis values are formatted _BLOCK_ROWS at a
     time, so no Python object is kept per column or per row.
     """
-    row, last, changes = _scan_codes(grid)
+    row, last, changes, turing_cells = _scan_codes(grid)
     with _create(path, "wb", buffering=1 << 16) as f:
         for start in range(0, len(grid.a_axis), _BLOCK_ROWS):
             f.write("".join(f",{v!r}" for v in grid.a_axis[start:start + _BLOCK_ROWS].tolist()).encode())
@@ -368,6 +372,7 @@ def write_scan_csv(grid: ScanGrid, path: Path) -> None:
                     row[at] = last[at]
                 f.write(f"{value!r},".encode())
                 f.write(row)
+    return turing_cells
 
 
 def _json_safe(value):
@@ -450,11 +455,7 @@ def _scan(cfg: RunConfig, out_dir: Path) -> None:
     grid = scan_region(cfg.params(), (cfg.r_c_min, cfg.r_c_max), (cfg.a_min, cfg.a_max),
                        (cfg.r_c_steps, cfg.a_steps), theta=cfg.theta_target)
     _start_outputs(cfg, out_dir)
-    write_scan_csv(grid, out_dir / "scan.csv")
-    # a TURING column is TURING below its threshold, in n_rows - steps cells
-    n_rows, turing = len(grid.r_c_axis), Verdict.TURING
-    _print_values(turing_cells=sum(n_rows - step for step, code in zip(grid.steps, grid.above)
-                                   if code == turing))
+    _print_values(turing_cells=write_scan_csv(grid, out_dir / "scan.csv"))
 
 
 _HANDLERS = {"steady": _steady, "stability": _stability, "dispersion": _dispersion,

@@ -79,6 +79,14 @@ class ModelParams:
         for name in _NONNEG:
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        # an s that underflows to 0 makes the predation term 0/0 wherever beta is 0
+        if not self.s > 0.0:
+            raise ParameterError(f"s_b/b_i must be positive, got {self.s_b!r}/{self.b_i!r} = {self.s!r}")
+
+    @property
+    def s(self) -> float:
+        """The half-saturation density in units of b_i."""
+        return self.s_b / self.b_i
 
     @property
     def kappa(self) -> float:
@@ -114,8 +122,7 @@ PEAK_THRESHOLD = 0.1  # default peak cut of pattern analysis, relative to max(be
 
 def _equilibrium_residual(p: ModelParams, x: float) -> float:
     """Scaled steady-state residual at x = beta / b_i."""
-    s = p.s_b / p.b_i
-    return (p.r_b + p.f_e * p.kappa) * (1.0 - x) - p.a * p.kappa * x / (s + x)
+    return (p.r_b + p.f_e * p.kappa) * (1.0 - x) - p.a * p.kappa * x / (p.s + x)
 
 
 def _quadratic_root(p: ModelParams) -> float:
@@ -125,7 +132,7 @@ def _quadratic_root(p: ModelParams) -> float:
     R = r_b + f_e*kappa; the product of roots is -s < 0 so exactly one root
     is positive. Cancellation-safe evaluation.
     """
-    s = p.s_b / p.b_i
+    s = p.s
     R = p.r_b + p.f_e * p.kappa
     B = p.a * p.kappa - R * (1.0 - s)
     disc = math.sqrt(B * B + 4.0 * R * R * s)
@@ -152,11 +159,16 @@ def steady_state(p: ModelParams) -> Equilibrium:
         raise ParameterError("no positive steady state: growth terms all vanish")
 
     # Newton polish from the closed-form root.
-    s = p.s_b / p.b_i
+    s = p.s
     x = _quadratic_root(p)
     for _ in range(3):
         f = _equilibrium_residual(p, x)
-        df = -R - ak * s / (s + x) ** 2
+        try:
+            df = -R - ak * s / (s + x) ** 2
+        except (OverflowError, ZeroDivisionError):  # (s + x)**2 overflows or underflows to 0
+            raise ParameterError(
+                f"the steady state's Newton derivative is not finite in floating point (s={s!r}, theta={x!r})"
+            ) from None
         x -= f / df
     x = min(max(x, 0.0), 1.0)
 
@@ -179,8 +191,7 @@ def calibrate_fe(p: ModelParams, theta_target: float) -> float:
     kappa = p.kappa
     if kappa == 0.0:
         raise ParameterError("calibration requires f_b > 0")
-    s = p.s_b / p.b_i
-    f_e = (p.a * kappa * theta_target / ((s + theta_target) * (1.0 - theta_target)) - p.r_b) / kappa
+    f_e = (p.a * kappa * theta_target / ((p.s + theta_target) * (1.0 - theta_target)) - p.r_b) / kappa
     if f_e <= 0.0:
         raise CalibrationError(
             f"no positive porosity feedback holds the equilibrium at theta={theta_target}"

@@ -114,9 +114,14 @@ def scan_region(
     steps = array("q", [0]) * len(a)
     above = array("b", [Verdict.INFEASIBLE]) * len(a)
     kappa = F_B_COUPLING  # f_b/r_c is constant by construction
-    s, r_b = base.s_b / base.b_i, base.r_b
+    s, r_b = base.s, base.r_b
     f_e_scale, r_b_theta = (s + theta) * (1.0 - theta), r_b * theta
-    value_factor, value_scale = theta**2, (s + theta) ** 2
+    try:
+        value_factor, value_scale = theta**2, (s + theta) ** 2
+    except OverflowError:
+        value_scale = math.nan
+    if not value_scale > 0.0:  # (s + theta)**2 overflowed, or underflowed to 0
+        raise ParameterError(f"(s + theta)^2 is not finite and positive (s={s!r}, theta={theta!r})")
     turing, stable_only = Verdict.TURING, Verdict.STABLE_ONLY  # one enum lookup each
     for k, a_k in enumerate(a):
         # Calibrated feedback, a * kappa * theta / ((s + theta) * (1 - theta))

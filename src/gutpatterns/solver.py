@@ -97,13 +97,13 @@ def _check_and_clamp(b: np.ndarray, g: np.ndarray, t: float) -> None:
 class _Integrator:
     """Steps scaled fields for one (p, dom, dt).
 
-    Holds what stays fixed over a run: ``s = s_b/b_i``, both fields'
-    diffusion matrices, factored together once by :func:`kernels.factor`,
-    and one C-contiguous (5, n) array ``state``: rows 0-1 and 2-3 are two
-    output slots, each with the solve bound to it, and row 4 is a step's
-    scratch row. The steps alternate between the slots, the first writing
-    rows 2-3, so the initial fields may go in rows 0-1. A step's output, the
-    next step's input, is not overwritten until the step after next.
+    Holds what stays fixed over a run: both fields' diffusion matrices,
+    factored together once by :func:`kernels.factor`, and one C-contiguous
+    (5, n) array ``state``: rows 0-1 and 2-3 are two output slots, each with
+    the solve bound to it, and row 4 is a step's scratch row. The steps
+    alternate between the slots, the first writing rows 2-3, so the initial
+    fields may go in rows 0-1. A step's output, the next step's input, is not
+    overwritten until the step after next.
     """
 
     def __init__(self, p: ModelParams, dom: Domain1D, dt: float):
@@ -112,7 +112,6 @@ class _Integrator:
             raise ParameterError(f"dt={dt} exceeds the explicit-reaction bound {bound:.4g} min")
         self.p = p
         self.dt = dt
-        self.s = _scaled_saturation(p)
         bind = kernels.factor(dom.n_points, *_diffusion_numbers(p, dom, dt))
         self.state = np.empty((5, dom.n_points))
         self.slots = tuple((out, bind(out)) for out in (self.state[2:4], self.state[:2]))
@@ -126,19 +125,10 @@ class _Integrator:
         current, spare = self.slots
         self.slots = (spare, current)
         out, solve = current
-        b_new, g_new = kernels.step_arrays(b, g, self.dt, solve, p.r_b, p.a, self.s,
+        b_new, g_new = kernels.step_arrays(b, g, self.dt, solve, p.r_b, p.a, p.s,
                                            p.f_e, p.f_b, p.r_c, out, self.state[4])
         _check_and_clamp(b_new, g_new, t_next)
         return b_new, g_new
-
-
-def _scaled_saturation(p: ModelParams) -> float:
-    """``s = s_b/b_i``; ParameterError unless it is positive. An ``s`` that
-    underflows to 0 makes the predation term 0/0 wherever beta is 0."""
-    s = p.s_b / p.b_i
-    if not s > 0.0:
-        raise ParameterError(f"s_b/b_i must be positive, got {p.s_b!r}/{p.b_i!r} = {s!r}")
-    return s
 
 
 def _diffusion_numbers(p: ModelParams, dom: Domain1D, dt: float) -> tuple[float, float]:

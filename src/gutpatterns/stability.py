@@ -68,7 +68,7 @@ def jacobian(p: ModelParams, eq: Equilibrium) -> Jacobian2x2:
     denom = p.s_b + beta
     try:
         m11 = p.r_b * (1.0 - 2.0 * theta) - p.a * p.s_b * kappa * beta / denom**2 - p.f_e * kappa * theta
-    except OverflowError:  # denom**2
+    except (OverflowError, ZeroDivisionError):  # denom**2 overflows or underflows to 0
         m11 = math.nan
     m12 = -p.a * beta / denom + p.f_e * (1.0 - theta)
     if not (math.isfinite(m11) and math.isfinite(m12)):

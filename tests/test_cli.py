@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -225,6 +225,9 @@ class TestSubcommands:
         ("dispersion", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "s_b = 5e-324"),
+        *((subcommand, "s_b = 5e-324\na = 1\nf_e = 0") for subcommand in SUBCOMMANDS),
+        ("stability", "b_i = 1e-310\ns_b = 5e-324"),
+        ("scan", "r_b = 1e-20\nb_i = 1e300\ntheta_target = 1e-300"),
         ("simulate", "t_end = 1e300"),
         ("simulate", "t_end = 1e300\nsnapshot_every = 1e300"),
         ("simulate", "t_end = 1e308\ndt = 1e-300\nsnapshot_every = 1e308"),
@@ -396,8 +399,9 @@ class TestWritersMatchReference:
         grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, n_rows),
                         a_axis=np.linspace(0.05, 1.0, len(steps)),
                         steps=np.array(steps), above=np.array(above, dtype=np.int8))
-        write_scan_csv(grid, tmp_path / "scan.csv")
+        turing = write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+        assert turing == np.count_nonzero(grid.verdicts == Verdict.TURING)
 
     def test_scan_csv_wide(self, tmp_path, rng):
         # 5 rows of 5000 columns, each code and threshold drawn at random
@@ -405,8 +409,9 @@ class TestWritersMatchReference:
         steps = np.where(above == Verdict.INFEASIBLE, 0, rng.integers(0, 6, above.size))
         grid = ScanGrid(r_c_axis=np.linspace(1e-3, 5e-2, 5), a_axis=np.linspace(0.05, 1.0, above.size),
                         steps=steps, above=above)
-        write_scan_csv(grid, tmp_path / "scan.csv")
+        turing = write_scan_csv(grid, tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_text() == scan_csv_reference(grid)
+        assert turing == np.count_nonzero(grid.verdicts == Verdict.TURING)
 
     def test_scan_csv_tall(self, tmp_path, rng):
         # 5000 rows of 5 columns: most rows repeat the one above, and the
@@ -1030,3 +1035,35 @@ def test_config_runs_clean_or_fails_with_one_error_line(key, value, subcommand):
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             # a run rejected at validation writes nothing
             assert code == 2 or not (out_dir / "manifest").exists()
+
+
+MODEL_KEYS = ("r_b", "r_c", "d_b", "d_c", "b_i", "f_b", "a", "s_b", "f_e", "theta_target")
+MODEL_VALUES = ("0", "5e-324", "1e-310", "1e-300", "1e-20", "0.5", "1", "1e20", "1e300", "1.7e308")
+
+
+# The model's own keys, one to three at a time, at values that overflow,
+# underflow or vanish somewhere in the closed forms or the step.
+@settings(max_examples=300, deadline=None, database=None)
+@example(model={"s_b": "5e-324", "a": "1", "f_e": "0"})
+@example(model={"s_b": "1e300", "f_b": "1e300"})
+@example(model={"r_c": "1e-310", "f_e": "1e-310", "b_i": "1.7e308"})
+@given(model=st.dictionaries(st.sampled_from(MODEL_KEYS), st.sampled_from(MODEL_VALUES),
+                             min_size=1, max_size=3))
+def test_model_config_runs_clean_or_fails_with_one_error_line(model):
+    config = PROPERTY_BASE + "xi2_samples = 16\nr_c_steps = 20\na_steps = 20\n"
+    config += "".join(f"{key} = {value}\n" for key, value in model.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg"
+        cfg.write_text(config)
+        for subcommand in SUBCOMMANDS:
+            out_dir = Path(tmp) / subcommand
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([subcommand, "--config", str(cfg), "--out", str(out_dir)])
+            if code == 0:
+                _assert_finite_outputs(out_dir, subcommand, 4.0)
+            else:
+                assert code in (1, 2), subcommand
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), (subcommand, lines)
+                assert code == 2 or not out_dir.exists(), subcommand

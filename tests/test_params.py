@@ -56,6 +56,12 @@ class TestModelParams:
         with pytest.raises(ParameterError, match=name):
             ModelParams(**kwargs)
 
+    def test_scaled_saturation_underflow_rejected(self):
+        # s_b and b_i are each positive, but s = s_b/b_i underflows to 0
+        with pytest.raises(ParameterError, match=r"s_b/b_i must be positive, got 5e-324/1e\+17 = 0\.0"):
+            ModelParams(r_b=0.03, r_c=0.02, d_b=1e-13, d_c=1e-10, b_i=1e17,
+                        f_b=2e-3, a=0.3, s_b=5e-324, f_e=0.08)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
             ModelParams(r_b=math.nan, r_c=0.02, d_b=1e-13, d_c=1e-10, b_i=1e17,
@@ -64,7 +70,7 @@ class TestModelParams:
 
 def scaled_reaction(p, b, g):
     """The conftest oracle at Table 1's rates, on fields scaled by b_i."""
-    return reaction(b, g, p.r_b, p.a, p.s_b / p.b_i, p.f_e, p.f_b, p.r_c)
+    return reaction(b, g, p.r_b, p.a, p.s, p.f_e, p.f_b, p.r_c)
 
 
 class TestReactionTerms:
