@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .params import PEAK_THRESHOLD, Domain1D
-from .solver import FieldState
 
 FLAT_FIELD_RTOL = 1e-12  # of max|beta|: a field whose range is within this is flat
 LOW_VARIANCE_FACTOR = 1e-6  # of beta_ref^2: skip band checking below this
@@ -28,15 +27,6 @@ class PatternReport:
     median_spacing_m: float        # m, nan when pattern-free or below 2 peaks
     in_predicted_band: bool        # (2*pi/median_spacing_m)^2 inside the band
     spatial_variance: float        # (units/m^3)^2
-
-    @property
-    def patterned(self) -> bool:
-        """True when the field shows a genuine multi-spot pattern.
-
-        Requires at least three peaks and a median spacing (pattern-free
-        fields never count as patterned).
-        """
-        return self.peak_count >= 3 and not math.isnan(self.median_spacing_m)
 
 
 def _is_flat(b: np.ndarray) -> bool:

@@ -13,9 +13,10 @@ checks every input, and a failed run keeps its manifest and earlier snapshots.
 Only the handlers that compute on arrays (dispersion, simulate) load numpy
 and the modules built on it.
 
-Exit codes: 0 success, 1 validation/parse error, 2 runtime invariant
-violation, a LAPACK that could not be loaded, an output that could not be
-written or memory that could not be allocated.
+Exit codes: 0 success, 1 validation/parse error or an output directory that
+could not be created, 2 runtime invariant violation, a LAPACK that could not
+be loaded, an output that could not be written or memory that could not be
+allocated.
 """
 
 from __future__ import annotations
@@ -441,7 +442,6 @@ def _simulate(cfg: RunConfig, out_dir: Path) -> None:
     lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]
     report = asdict(analyze_pattern(final, dom, band,
                                     beta_ref=eq.beta_bar, rel_threshold=cfg.peak_threshold))
-    lines += [f"# {key} = {_fmt(value)}" for key, value in report.items()]
     with _create(out_dir / "series.csv") as f:
         f.write("\n".join(lines) + "\n")
     with _create(out_dir / "report.json") as f:

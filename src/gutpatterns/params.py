@@ -82,6 +82,8 @@ class ModelParams:
         # an s that underflows to 0 makes the predation term 0/0 wherever beta is 0
         if not self.s > 0.0:
             raise ParameterError(f"s_b/b_i must be positive, got {self.s_b!r}/{self.b_i!r} = {self.s!r}")
+        if self.s == math.inf:
+            raise ParameterError(f"s_b/b_i must be finite, got {self.s_b!r}/{self.b_i!r} = {self.s!r}")
 
     @property
     def s(self) -> float:
@@ -200,12 +202,10 @@ def calibrate_fe(p: ModelParams, theta_target: float) -> float:
     return f_e
 
 
-def table1_params(f_e: float | None = None) -> ModelParams:
-    """Canonical parameter set; f_e calibrated at theta=0.3 unless given."""
+def table1_params() -> ModelParams:
+    """Canonical parameter set, f_e calibrated at theta=0.3."""
     p = ModelParams(f_e=1.0, **TABLE1)
-    if f_e is None:
-        f_e = calibrate_fe(p, DEFAULT_THETA)
-    return replace(p, f_e=f_e)
+    return replace(p, f_e=calibrate_fe(p, DEFAULT_THETA))
 
 
 @dataclass(frozen=True)

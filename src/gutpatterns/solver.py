@@ -45,7 +45,8 @@ def max_stable_dt(p: ModelParams) -> float:
 
 
 def initial_state(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> FieldState:
-    """Build the initial fields; physical units.
+    """Build the initial fields; physical units. ParameterError when the
+    spot covers no node.
 
     The perturbation multiplies each equilibrium density by
     ``1 + noise_rel * (-1 + 2u)``, with u the next ``random.Random(seed).random()``:
@@ -53,8 +54,14 @@ def initial_state(p: ModelParams, dom: Domain1D, cfg: SimConfig) -> FieldState:
     """
     n = dom.n_points
     if cfg.ic == "spot":
+        spot = np.abs(dom.x() - cfg.spot_center) <= cfg.spot_half_width
+        if not spot.any():
+            raise ParameterError(
+                f"the spot (spot_center {cfg.spot_center!r}, spot_half_width {cfg.spot_half_width!r}) "
+                f"covers no node of the domain [0, {dom.length!r}]"
+            )
         beta = np.full(n, cfg.background, dtype=float)
-        beta[np.abs(dom.x() - cfg.spot_center) <= cfg.spot_half_width] = cfg.spot_amplitude
+        beta[spot] = cfg.spot_amplitude
         gamma = np.zeros(n)
     else:
         eq = steady_state(p)

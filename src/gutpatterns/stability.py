@@ -141,24 +141,21 @@ def band_edges(p: ModelParams, j: Jacobian2x2) -> tuple[float, float] | None:
 
 
 def growth_rate(p: ModelParams, j: Jacobian2x2, xi2):
-    """Largest real part among the two roots of lambda^2 + a1*lambda + a2 = 0,
-    evaluated _GROWTH_RATE_BLOCK samples at a time, so that the formula's
-    temporaries stay one block in size."""
+    """Largest real part among the two roots of lambda^2 + a1*lambda + a2 = 0
+    at each value of the 1-D array xi2, _GROWTH_RATE_BLOCK samples at a time,
+    so that the formula's temporaries stay one block in size."""
     import numpy as np
     xi2 = np.asarray(xi2, dtype=float)
-    samples = xi2.ravel()
-    out = np.empty_like(samples)
-    for start in range(0, samples.size, _GROWTH_RATE_BLOCK):
-        x = samples[start:start + _GROWTH_RATE_BLOCK]
+    out = np.empty_like(xi2)
+    for start in range(0, xi2.size, _GROWTH_RATE_BLOCK):
+        x = xi2[start:start + _GROWTH_RATE_BLOCK]
         a1 = -j.trace + (p.d_b + p.d_c) * x
         a2 = j.det - (j.m11 * p.d_c + j.m22 * p.d_b) * x + p.d_b * p.d_c * x**2
         disc = a1 * a1 - 4.0 * a2
         real_roots = 0.5 * (-a1 + np.sqrt(np.maximum(disc, 0.0)))
         complex_roots = -0.5 * a1
         out[start:start + _GROWTH_RATE_BLOCK] = np.where(disc >= 0.0, real_roots, complex_roots)
-    if xi2.ndim == 0:
-        return float(out[0])
-    return out.reshape(xi2.shape)
+    return out
 
 
 def dispersion(

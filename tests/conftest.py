@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 
@@ -15,6 +16,12 @@ def reaction(b, g, r_b, a, s, f_e, f_b, r_c):
     allocating expressions evaluated left to right: the oracle that
     ``kernels.step_arrays`` matches bitwise."""
     return r_b * (1.0 - b) * b - a * b * g / (s + b) + f_e * (1.0 - b) * g, f_b * b - r_c * g
+
+
+def patterned(report) -> bool:
+    """Whether a PatternReport shows a multi-spot pattern: at least three
+    peaks and a median spacing, which a pattern-free field never has."""
+    return report.peak_count >= 3 and not math.isnan(report.median_spacing_m)
 
 
 @pytest.fixture(scope="session")

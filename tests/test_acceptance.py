@@ -33,7 +33,7 @@ from tests.test_scan import turing_window
 from tests.test_solver import advance_state
 from tests.test_stability import a2_coefficient, bisect_a2_root, condition_value
 
-from tests.conftest import FIG2_DOMAIN as DOM
+from tests.conftest import FIG2_DOMAIN as DOM, patterned
 
 GAMMA_ENVELOPE_FACTOR = 10.0  # gamma stays below 10 * kappa * b_i throughout
 
@@ -97,7 +97,7 @@ def test_criterion_5_dispersion_band(p_table1, jac_table1):
     assert lam_minus == pytest.approx(j.det / (p_table1.d_c * j.m11), rel=0.02)
     assert lam_plus == pytest.approx(j.m11 / p_table1.d_b, rel=0.02)
     eig = np.linalg.eigvals([[j.m11, j.m12], [j.m21, j.m22]])
-    assert growth_rate(p_table1, j, 0.0) == pytest.approx(max(eig.real), abs=1e-12)
+    assert growth_rate(p_table1, j, [0.0])[0] == pytest.approx(max(eig.real), abs=1e-12)
     _passed(5, f"band=({lam_minus:.3e}, {lam_plus:.3e}) 1/m^2, oracle and Taylor agree")
 
 
@@ -110,7 +110,7 @@ def test_criterion_6_pattern_formation(p_table1, jac_table1, fig2_run):
     assert report.peak_count >= 3
     xi2 = (2.0 * math.pi / report.median_spacing_m) ** 2
     assert lam_minus < xi2 < lam_plus
-    assert report.patterned
+    assert patterned(report)
     _passed(6, f"{report.peak_count} peaks, median spacing {report.median_spacing_m * 1e6:.2f} um, "
                f"xi^2={xi2:.3e} inside band, {elapsed:.1f} s")
 
@@ -126,7 +126,7 @@ def test_criterion_7_stable_control(p_table1, control_run):
     assert np.all(np.diff(above_floor) < 0.0), "variance must decay after the transient"
     assert variances[-1] < floor
     report = analyze_pattern(snaps[-1], DOM, None, beta_ref=eq.beta_bar)
-    assert not report.patterned
+    assert not patterned(report)
     _passed(7, f"variance {variances[peak_idx]:.2e} -> {variances[-1]:.2e}, "
                f"no pattern, {elapsed:.1f} s")
 

@@ -14,6 +14,7 @@ from gutpatterns import (
     detect_peaks,
 )
 from gutpatterns.analysis import FLAT_FIELD_RTOL, _is_flat, snapshot_stats
+from tests.conftest import patterned
 
 
 def field(beta, gamma=None):
@@ -268,7 +269,7 @@ class TestMedianSpacing:
         assert report.peak_count == len(nodes)
         assert report.median_spacing_m == pytest.approx(median, rel=1e-12)
         assert report.in_predicted_band
-        assert report.patterned
+        assert patterned(report)
 
     @pytest.mark.parametrize("beta,beta_ref", [
         (np.full(101, 2.0), 0.0),            # flat: 0 peaks (beta_ref 0 passes the variance guard)
@@ -280,7 +281,7 @@ class TestMedianSpacing:
         assert report.peak_count == detect_peaks(field(beta), dom)[0] < 2
         assert math.isnan(report.median_spacing_m)
         assert not report.in_predicted_band
-        assert not report.patterned
+        assert not patterned(report)
 
 
 class TestAnalyzePattern:
@@ -292,7 +293,7 @@ class TestAnalyzePattern:
         report = analyze_pattern(field(beta), dom, band=(0.5 * xi2, 2.0 * xi2), beta_ref=2.0)
         assert report.peak_count == 10
         assert report.in_predicted_band
-        assert report.patterned
+        assert patterned(report)
         assert report.median_spacing_m == pytest.approx(0.1)
 
     def test_low_variance_path(self):
@@ -301,7 +302,7 @@ class TestAnalyzePattern:
         report = analyze_pattern(field(beta), dom, band=(1.0, 1e6), beta_ref=1e16)
         assert math.isnan(report.median_spacing_m)
         assert not report.in_predicted_band
-        assert not report.patterned
+        assert not patterned(report)
 
     def test_no_band_means_not_in_band(self):
         dom = Domain1D(length=1.0, n_points=1024)

@@ -122,6 +122,9 @@ class TestSubcommands:
         assert (out_dir / "snap_t720.csv").exists()
         series = (out_dir / "series.csv").read_text().splitlines()
         assert series[0] == "t,beta_variance,gamma_variance,beta_max,peak_count"
+        # one row per snapshot and nothing more: the run's summary is report.json
+        assert [row.split(",")[0] for row in series[1:]] == ["0.0", "360.0", "720.0"]
+        assert all(len(row.split(",")) == 5 for row in series[1:])
         report = json.loads((out_dir / "report.json").read_text())
         assert set(report) == {"peak_count", "median_spacing_m", "in_predicted_band", "spatial_variance"}
         snap = (out_dir / "snap_t0.csv").read_text().splitlines()
@@ -137,8 +140,7 @@ class TestSubcommands:
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert json.loads((out_dir / "report.json").read_text())["peak_count"] == 0
-        rows = [line.split(",") for line in (out_dir / "series.csv").read_text().splitlines()[1:]
-                if not line.startswith("#")]
+        rows = [line.split(",") for line in (out_dir / "series.csv").read_text().splitlines()[1:]]
         assert len(rows) == 11
         assert all(row[-1] == "0" for row in rows)
 
@@ -226,6 +228,7 @@ class TestSubcommands:
         ("simulate", "d_b = 1e300\nd_c = 1e300"),
         ("simulate", "s_b = 5e-324"),
         *((subcommand, "s_b = 5e-324\na = 1\nf_e = 0") for subcommand in SUBCOMMANDS),
+        *((subcommand, "b_i = 5e-324\nf_e = 0") for subcommand in SUBCOMMANDS),
         ("stability", "b_i = 1e-310\ns_b = 5e-324"),
         ("scan", "r_b = 1e-20\nb_i = 1e300\ntheta_target = 1e-300"),
         ("simulate", "t_end = 1e300"),
@@ -269,8 +272,8 @@ class TestSubcommands:
             pytest.skip("no /dev/full")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         cfg, out = tmp_path / "cfg", tmp_path / "out"
-        cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 50000\nsnapshot_every = 5\n"
-                       "r_c_steps = 4\na_steps = 4\n")
+        cfg.write_text("n_points = 64\nlength = 0.001\nspot_center = 0.0005\nt_end = 50000\n"
+                       "snapshot_every = 5\nr_c_steps = 4\na_steps = 4\n")
         out.mkdir()
         if how == "dir":
             (out / blocked).mkdir()
@@ -291,7 +294,9 @@ class TestSubcommands:
         ("dt = 5\n", "dt=5.0 exceeds the explicit-reaction bound 4.623 min"),
         ("spot_amplitude = 1e17\n", "initial bacterial density must stay below b_i"),
         ("peak_threshold = 1\n", "rel_threshold must lie in (0, 1), got 1.0"),
-    ], ids=["dt-bound", "spot-at-b_i", "peak-threshold"])
+        ("spot_center = 0.015\n",
+         "the spot (spot_center 0.015, spot_half_width 5e-05) covers no node of the domain [0, 0.001]"),
+    ], ids=["dt-bound", "spot-at-b_i", "peak-threshold", "spot-off-grid"])
     def test_rejected_by_simulate_writes_nothing(self, tmp_path, capsys, config, message):
         cfg, out = tmp_path / "cfg", tmp_path / "out"
         cfg.write_text("n_points = 64\nlength = 0.001\nspot_center = 0.0005\nt_end = 10\n"
@@ -676,7 +681,7 @@ def test_killed_writer_fails_with_one_error_line(tmp_path, capfd, monkeypatch):
     monkeypatch.setattr(cli, "write_snapshot", killed_in_child)
     monkeypatch.setattr(os, "fork", fork)
     cfg, out = tmp_path / "cfg", tmp_path / "out"
-    cfg.write_text("n_points = 64\nlength = 0.001\nt_end = 50000\nsnapshot_every = 5\n")
+    cfg.write_text("n_points = 64\nlength = 0.001\nspot_center = 0.0005\nt_end = 50000\nsnapshot_every = 5\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert "Traceback" not in err, err
@@ -1006,8 +1011,7 @@ def test_huge_count_fails_with_one_error_line(tmp_path, capsys, key, subcommand,
 def _assert_finite_outputs(out_dir: Path, subcommand: str, t_end: float) -> None:
     for csv in out_dir.glob("*.csv"):
         for row in csv.read_text().splitlines()[1:]:
-            if not row.startswith("#"):
-                assert all(math.isfinite(float(v)) for v in row.split(",")), (csv.name, row)
+            assert all(math.isfinite(float(v)) for v in row.split(",")), (csv.name, row)
     if subcommand == "simulate":
         # null is the JSON form of the nan low-variance sentinel
         report = json.loads((out_dir / "report.json").read_text())

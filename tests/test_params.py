@@ -10,7 +10,6 @@ from gutpatterns import (
     ParameterError,
     calibrate_fe,
     steady_state,
-    table1_params,
 )
 from gutpatterns.params import _equilibrium_residual, _quadratic_root
 from tests.conftest import reaction
@@ -61,6 +60,12 @@ class TestModelParams:
         with pytest.raises(ParameterError, match=r"s_b/b_i must be positive, got 5e-324/1e\+17 = 0\.0"):
             ModelParams(r_b=0.03, r_c=0.02, d_b=1e-13, d_c=1e-10, b_i=1e17,
                         f_b=2e-3, a=0.3, s_b=5e-324, f_e=0.08)
+
+    def test_scaled_saturation_overflow_rejected(self):
+        # s_b and b_i are each finite, but s = s_b/b_i overflows to inf
+        with pytest.raises(ParameterError, match=r"s_b/b_i must be finite, got 1e\+16/5e-324 = inf"):
+            ModelParams(r_b=0.03, r_c=0.02, d_b=1e-13, d_c=1e-10, b_i=5e-324,
+                        f_b=2e-3, a=0.3, s_b=1e16, f_e=0.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
@@ -158,7 +163,3 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             calibrate_fe(p_table1, 1.0)
 
-
-def test_table1_params_explicit_fe():
-    p = table1_params(f_e=0.0856)
-    assert p.f_e == 0.0856

@@ -198,7 +198,7 @@ class TestSimulate:
         SimConfig(t_end=4.0, dt=1.0, snapshot_every=1.0),
     ])
     def test_snapshot_times_are_simulated_times(self, p_table1, cfg):
-        snaps = simulate(p_table1, Domain1D(length=0.001, n_points=64), cfg)
+        snaps = simulate(p_table1, Domain1D(length=0.001, n_points=64), replace(cfg, spot_center=0.0005))
         assert snapshot_times(cfg) == [s.time for s in snaps]
 
     def test_snapshots_share_no_memory(self, p_table1, domain):
@@ -240,7 +240,8 @@ class TestSimulate:
         n = 100000
         dom = Domain1D(length=0.03, n_points=n)
         cfg = SimConfig(t_end=4.0, dt=1.0, snapshot_every=2.0, ic=ic)
-        simulate(p_table1, Domain1D(length=0.001, n_points=64), cfg)  # loads LAPACK untraced
+        # loads LAPACK untraced
+        simulate(p_table1, Domain1D(length=0.001, n_points=64), replace(cfg, spot_center=0.0005))
         tracemalloc.start()
         try:
             simulate(p_table1, dom, cfg, emit=lambda state: snapshot_stats(state, dom))
